@@ -8,9 +8,11 @@
 //!   releases): plan drift from `magic explain --json` streams (and
 //!   black-box dump `.jsonl` files — their `guard.*`/`cache.*` events
 //!   replay as comparable keys), metric drift from `magic metrics`
-//!   `.prom` expositions, bench drift from bench reports (threshold
-//!   like `bench-compare`), and mutation-kill-rate drift from verify
-//!   summaries — one combined report.
+//!   `.prom` expositions, bench drift from bench reports (a row
+//!   regresses when its `ns_per_op` grew by more than the threshold),
+//!   and mutation-kill-rate drift from verify summaries — one combined
+//!   report. When both arguments are files (e.g. two `bench` reports,
+//!   v1 or v2), the pair is diffed the same way on its own.
 //! * `drift check-ledger <ledger.jsonl>` — validates every record of a
 //!   run ledger against the v1 schema.
 //! * `drift ledger <ledger.jsonl> <sha_a> <sha_b>` — compares the
@@ -34,6 +36,7 @@ fn die(msg: &str) -> ! {
 fn usage() -> ! {
     die(
         "usage:\n  drift <baseline_dir> <candidate_dir> [threshold_pct=10]\n  \
+         drift <baseline_file> <candidate_file> [threshold_pct=10]\n  \
          drift check-ledger <ledger.jsonl>\n  \
          drift ledger <ledger.jsonl> <sha_a> <sha_b>\n\
          snapshot dirs may hold .jsonl streams, .prom expositions and .json reports",

@@ -27,7 +27,8 @@
 //!
 //! [`FaultBudget`]: magicdiv::FaultBudget
 
-use magicdiv::plan::{UdivPlan, UdivStrategy};
+use magicdiv::plan::UdivPlan;
+use magicdiv::testkit::corrupt_udiv_plan;
 use magicdiv::{
     fault_budget, Fault, FaultKind, GuardPolicy, GuardState, GuardedUnsignedDivisor, PlanCache,
     UWord,
@@ -262,37 +263,6 @@ impl ChaosReport {
     }
 }
 
-/// Flips one semantic bit in a `UdivPlan`'s strategy constants,
-/// whatever strategy the planner tournament picked. `bit` is reduced
-/// modulo the plan width so the flip always lands in a constant bit
-/// that survives lowering into the target word type (multiplier
-/// constants live in the low `width + 1` bits; anything above is
-/// truncated away by `from_plan` and the injection would be a no-op).
-pub fn corrupt_udiv_plan(plan: &UdivPlan, bit: u32) -> UdivPlan {
-    let bit = bit % plan.width();
-    let strategy = match plan.strategy() {
-        UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
-        UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
-        UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-            m: m ^ (1u128 << bit),
-            sh_pre,
-            sh_post,
-        },
-        UdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => UdivStrategy::MulAddShift {
-            m_minus_pow2n: m_minus_pow2n ^ (1u128 << bit),
-            sh_post,
-        },
-        UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-            m: m ^ (1u128 << bit),
-            sh_post,
-        },
-    };
-    UdivPlan::from_raw(plan.divisor(), plan.width(), strategy)
-}
-
 fn random_divisor(rng: &mut SplitMix, width: u32) -> u64 {
     let m = mask(width);
     let d = rng.next_u64() & m;
@@ -368,9 +338,14 @@ fn run_bit_flip<T: UWord>(
             });
         }
     }
+    file_sweep(tally, wrong, guarded.state(), demotions);
+}
+
+/// Files one injected plan whose quotient sweep is done.
+fn file_sweep(tally: &mut ScenarioTally, wrong: bool, state: GuardState, demotions: &mut u64) {
     if wrong {
         tally.silent_wrong += 1;
-    } else if guarded.state() == GuardState::Demoted {
+    } else if state == GuardState::Demoted {
         // The corruption produced at least one wrong raw quotient; the
         // hardened check caught it, served the native result, and fell
         // back to hardware for the rest of the sweep.
@@ -518,14 +493,7 @@ fn run_forced_demotion(rng: &mut SplitMix, tally: &mut ScenarioTally, demotions:
                 wrong = true;
             }
         }
-        if wrong {
-            tally.silent_wrong += 1;
-        } else if g.state() == GuardState::Demoted {
-            tally.detected_degraded += 1;
-            *demotions += 1;
-        } else {
-            tally.harmless += 1;
-        }
+        file_sweep(tally, wrong, g.state(), demotions);
     }
 
     // The breaker must now surface as a typed fault...
@@ -726,16 +694,6 @@ mod tests {
             "scenarios",
         ] {
             assert!(json.get(key).is_some(), "missing key {key}");
-        }
-    }
-
-    #[test]
-    fn corrupt_udiv_plan_always_changes_the_plan() {
-        for d in [1u128, 2, 3, 7, 10, 641, 65_535] {
-            let plan = UdivPlan::new(d, 32).expect("plan");
-            for bit in [0u32, 5, 31, 63, 127] {
-                assert_ne!(corrupt_udiv_plan(&plan, bit), plan, "d={d} bit={bit}");
-            }
         }
     }
 }

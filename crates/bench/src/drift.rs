@@ -13,7 +13,8 @@
 //!   extracted into a flat summary; any difference is plan drift and a
 //!   regression (a plan must never change silently between releases);
 //! * **bench reports** — rows matched by name, `ns_per_op` growth
-//!   beyond the threshold is bench drift (like `bench-compare`);
+//!   beyond the threshold is bench drift (v1 flat arrays and v2
+//!   objects alike; two single reports diff the same way);
 //! * **verify summaries** — a mutation kill-rate drop, new mismatches
 //!   or new surviving mutants are mutation drift;
 //! * **calibration reports** — rank-correlation movement beyond 0.05
@@ -524,9 +525,36 @@ fn snapshot_files(dir: &Path) -> Result<BTreeMap<String, std::path::PathBuf>, St
     Ok(out)
 }
 
-/// Diffs two snapshot directories. Bench rows may regress up to
-/// `threshold_pct` percent before they count; plan and mutation drift
-/// have no tolerance.
+/// Reads one file pair and diffs it by format (chosen from `name`'s
+/// extension).
+fn diff_pair(
+    report: &mut DriftReport,
+    name: &str,
+    pa: &Path,
+    pb: &Path,
+    threshold_pct: f64,
+) -> Result<(), String> {
+    let ca = std::fs::read_to_string(pa).map_err(|e| format!("{}: {e}", pa.display()))?;
+    let cb = std::fs::read_to_string(pb).map_err(|e| format!("{}: {e}", pb.display()))?;
+    report.files_compared += 1;
+    if ca == cb {
+        return Ok(()); // byte-identical: nothing can have drifted
+    }
+    if name.ends_with(".jsonl") {
+        diff_plan_streams(report, name, &ca, &cb);
+    } else if name.ends_with(".prom") {
+        diff_expositions(report, name, &ca, &cb);
+    } else {
+        diff_json_pair(report, name, &ca, &cb, threshold_pct);
+    }
+    Ok(())
+}
+
+/// Diffs two snapshots: two directories, whose files are paired by
+/// name, or two single files (e.g. two `bench` reports), diffed as one
+/// pair whose format follows the baseline's name. Bench rows may
+/// regress up to `threshold_pct` percent before they count; plan and
+/// mutation drift have no tolerance.
 ///
 /// # Errors
 ///
@@ -534,8 +562,12 @@ fn snapshot_files(dir: &Path) -> Result<BTreeMap<String, std::path::PathBuf>, St
 /// read. Unparseable *contents* become [`DriftKind::Note`] findings
 /// instead, so one corrupt artifact does not hide drift in the rest.
 pub fn diff_snapshots(a: &Path, b: &Path, threshold_pct: f64) -> Result<DriftReport, String> {
-    let (fa, fb) = (snapshot_files(a)?, snapshot_files(b)?);
     let mut report = DriftReport::default();
+    if a.is_file() && b.is_file() {
+        diff_pair(&mut report, &a.display().to_string(), a, b, threshold_pct)?;
+        return Ok(report);
+    }
+    let (fa, fb) = (snapshot_files(a)?, snapshot_files(b)?);
     for (name, pa) in &fa {
         let Some(pb) = fb.get(name) else {
             push(
@@ -547,19 +579,7 @@ pub fn diff_snapshots(a: &Path, b: &Path, threshold_pct: f64) -> Result<DriftRep
             );
             continue;
         };
-        let ca = std::fs::read_to_string(pa).map_err(|e| format!("{}: {e}", pa.display()))?;
-        let cb = std::fs::read_to_string(pb).map_err(|e| format!("{}: {e}", pb.display()))?;
-        report.files_compared += 1;
-        if ca == cb {
-            continue; // byte-identical: nothing can have drifted
-        }
-        if name.ends_with(".jsonl") {
-            diff_plan_streams(&mut report, name, &ca, &cb);
-        } else if name.ends_with(".prom") {
-            diff_expositions(&mut report, name, &ca, &cb);
-        } else {
-            diff_json_pair(&mut report, name, &ca, &cb, threshold_pct);
-        }
+        diff_pair(&mut report, name, pa, pb, threshold_pct)?;
     }
     for name in fb.keys() {
         if !fa.contains_key(name) {

@@ -40,8 +40,8 @@ pub use crate::calibrate::{
     Inversion, ModelScore,
 };
 pub use crate::chaos::{
-    corrupt_udiv_plan, run_chaos, ChaosConfig, ChaosReport, ScenarioTally, CHAOS_WIDTHS,
-    DEFAULT_CHAOS_ROUNDS, DEFAULT_CHAOS_SEED,
+    run_chaos, ChaosConfig, ChaosReport, ScenarioTally, CHAOS_WIDTHS, DEFAULT_CHAOS_ROUNDS,
+    DEFAULT_CHAOS_SEED,
 };
 pub use crate::corpus::{
     default_corpus_dir, read_corpus, write_entry, write_entry_traced, CorpusEntry,
@@ -61,6 +61,9 @@ pub use crate::runmeta::{git_sha, unix_time_ms};
 pub use crate::tournament::{
     run_tournament, run_urem_tournament, OracleCertifier, SimcpuScorer, DEFAULT_TOURNAMENT_MODEL,
 };
+/// The strategy bit-flip the chaos harness injects, shared with the
+/// core crate's cache hook and tests.
+pub use magicdiv::testkit::corrupt_udiv_plan;
 
 use std::time::Instant;
 

@@ -91,6 +91,33 @@ fn bench_regression_respects_threshold() {
 }
 
 #[test]
+fn bench_report_files_diff_directly() {
+    let dir = tmpdir("bench_files");
+    let report = |rows: &str| format!(r#"{{"version": 2, "git_sha": "x", "rows": [{rows}]}}"#);
+    let base = dir.join("base.json");
+    let same = dir.join("same.json");
+    let slower = dir.join("slower.json");
+    let rows =
+        r#"{"name": "u32/batch/7", "ns_per_op": 0.5}, {"name": "u64/scalar/7", "ns_per_op": 1.5}"#;
+    std::fs::write(&base, report(rows)).expect("write");
+    std::fs::write(&same, report(rows)).expect("write");
+    // One row 20% slower, past a 10% threshold.
+    let regressed = rows.replace("\"ns_per_op\": 1.5", "\"ns_per_op\": 1.8");
+    std::fs::write(&slower, report(&regressed)).expect("write");
+
+    let out = drift(&[path_str(&base), path_str(&same), "10"]);
+    assert_eq!(out.status.code(), Some(0), "identical reports are clean");
+    let out = drift(&[path_str(&base), path_str(&slower), "10"]);
+    assert_eq!(out.status.code(), Some(1), "a 20% regression fails at 10%");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("[bench]") && stdout.contains("u64/scalar/7"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("u32/batch/7"), "{stdout}");
+}
+
+#[test]
 fn kill_rate_drop_is_mutation_drift() {
     let a = tmpdir("kill_a");
     let b = tmpdir("kill_b");

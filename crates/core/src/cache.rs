@@ -4,14 +4,19 @@
 //! Planning a divisor is cheap but not free (the tournament runs
 //! candidate generation, certification and scoring); services that
 //! divide by a recurring set of invariant divisors want to pay it once.
-//! [`PlanCache`] memoizes [`DivPlan`]s behind sharded locks, with two
-//! defenses the plain constructors don't need:
+//! [`PlanCache`] memoizes [`DivPlan`]s behind sharded locks. Every
+//! shape goes through one typed lookup, [`PlanCache::plan`]: the
+//! [`CachedPlan`] trait gives each plan type its shape tag, its builder
+//! and its [`DivPlan`] wrap/unwrap. Width and range are checked before
+//! any lock is taken, so bad input gets a typed [`Fault`], never a
+//! panic inside a shard. Two defenses the plain constructors don't need:
 //!
 //! * **Entry poisoning detection** — every cached entry carries an
-//!   FNV-1a checksum over the plan's constants. A corrupted entry (a
-//!   bit flipped in a stored magic multiplier, say) fails the checksum
-//!   on its next hit, is evicted, counted (`cache.poisoned`) and
-//!   rebuilt from scratch; the corrupt constants are never served.
+//!   FNV-1a checksum over the plan's `derive(Hash)`, i.e. every field.
+//!   A corrupted entry (a bit flipped in a stored magic multiplier,
+//!   say) fails the checksum on its next hit, is evicted, counted
+//!   (`cache.poisoned`) and rebuilt from scratch; the corrupt constants
+//!   are never served.
 //! * **Lock poisoning degradation** — if a writer panics while holding
 //!   a shard lock, subsequent lookups on that shard bypass the cache
 //!   entirely (`cache.lock_poisoned`) and build plans directly. The
@@ -25,53 +30,40 @@
 //!
 //! ```
 //! use magicdiv::cache::PlanCache;
+//! use magicdiv::plan::UdivPlan;
+//! use magicdiv::UnsignedDivisor;
 //!
 //! let cache = PlanCache::new(64);
-//! let by7 = cache.unsigned_divisor::<u32>(7)?;
-//! assert_eq!(by7.divide(1000), 142);
+//! let plan = cache.plan::<UdivPlan>(7, 32)?;
+//! assert_eq!(UnsignedDivisor::<u32>::from_plan(&plan).divide(1000), 142);
 //! // Second lookup is a hit:
-//! let _ = cache.unsigned_divisor::<u32>(7)?;
+//! let _ = cache.plan::<UdivPlan>(7, 32)?;
 //! assert_eq!(cache.stats().hits, 1);
 //! # Ok::<(), magicdiv::Fault>(())
 //! ```
 
+use core::hash::{Hash, Hasher};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::error::{Fault, FaultKind, FaultLayer};
-use crate::floor::FloorDivisor;
+use crate::error::{DivisorError, Fault, FaultKind, FaultLayer};
 use crate::plan::{
-    DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    width_supported, DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan,
+    UdivPlan, UremPlan,
 };
-use crate::signed::SignedDivisor;
-use crate::udword_div::DwordDivisor;
-use crate::unsigned::UnsignedDivisor;
-use crate::word::{SWord, UWord};
+use crate::testkit::corrupt_udiv_plan;
 
 /// Number of independently locked shards. A power of two so the shard
 /// index is a mask.
 const SHARDS: usize = 16;
 
-/// Which plan family a cache key addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum PlanShape {
-    Udiv,
-    Sdiv,
-    Floor,
-    ExactUnsigned,
-    ExactSigned,
-    Dword,
-    Urem,
-    Divisibility,
-}
-
-/// Cache key: family, width and the divisor's full bit pattern (signed
-/// divisors store `d as u128` so `-7` and `2^128 - 7` cannot collide
-/// with an unsigned divisor — the shape tag separates them anyway).
+/// Cache key: shape tag, width and the divisor's full bit pattern
+/// (signed divisors store `d as u128`; the shape tag keeps `-7` apart
+/// from an unsigned `2^128 - 7`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct CacheKey {
-    shape: PlanShape,
+    shape: u8,
     width: u32,
     d_bits: u128,
 }
@@ -83,195 +75,119 @@ struct Entry {
     stamp: u64,
 }
 
-/// Incremental FNV-1a over little-endian words.
+/// FNV-1a, byte by byte.
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
+impl Default for Fnv {
+    fn default() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn u128(&mut self, x: u128) {
-        self.u64(x as u64);
-        self.u64((x >> 64) as u64);
-    }
-
-    fn u32(&mut self, x: u32) {
-        self.u64(u64::from(x));
-    }
-
-    fn bool(&mut self, x: bool) {
-        self.u64(u64::from(x));
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-fn checksum_udiv(h: &mut Fnv, p: &UdivPlan) {
-    use crate::plan::UdivStrategy;
-    h.u64(1);
-    h.u32(p.width);
-    h.u128(p.d);
-    match p.strategy {
-        UdivStrategy::Identity => h.u64(10),
-        UdivStrategy::Shift { sh } => {
-            h.u64(11);
-            h.u32(sh);
-        }
-        UdivStrategy::MulShift { m, sh_pre, sh_post } => {
-            h.u64(12);
-            h.u128(m);
-            h.u32(sh_pre);
-            h.u32(sh_post);
-        }
-        UdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => {
-            h.u64(13);
-            h.u128(m_minus_pow2n);
-            h.u32(sh_post);
-        }
-        UdivStrategy::MulRoundUp { m, sh_post } => {
-            h.u64(14);
-            h.u128(m);
-            h.u32(sh_post);
-        }
-    }
-}
-
-fn checksum_sdiv(h: &mut Fnv, p: &SdivPlan) {
-    use crate::plan::SdivStrategy;
-    h.u64(2);
-    h.u32(p.width);
-    h.u128(p.d as u128);
-    h.bool(p.negate);
-    match p.strategy {
-        SdivStrategy::Identity => h.u64(20),
-        SdivStrategy::Shift { l } => {
-            h.u64(21);
-            h.u32(l);
-        }
-        SdivStrategy::MulShift { m, sh_post } => {
-            h.u64(22);
-            h.u128(m);
-            h.u32(sh_post);
-        }
-        SdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => {
-            h.u64(23);
-            h.u128(m_minus_pow2n);
-            h.u32(sh_post);
-        }
-    }
-}
-
-fn checksum_floor(h: &mut Fnv, p: &FloorPlan) {
-    use crate::plan::FloorStrategy;
-    h.u64(3);
-    h.u32(p.width);
-    h.u128(p.d as u128);
-    match &p.strategy {
-        FloorStrategy::Identity => h.u64(30),
-        FloorStrategy::Shift { l } => {
-            h.u64(31);
-            h.u32(*l);
-        }
-        FloorStrategy::MulShift { m, sh_post } => {
-            h.u64(32);
-            h.u128(*m);
-            h.u32(*sh_post);
-        }
-        FloorStrategy::NegativeTrunc { trunc } => {
-            h.u64(33);
-            checksum_sdiv(h, trunc);
-        }
-    }
-}
-
-fn checksum_exact(h: &mut Fnv, p: &ExactPlan) {
-    h.u64(4);
-    h.u32(p.width);
-    h.u128(p.d_abs);
-    h.bool(p.signed);
-    h.bool(p.negate);
-    h.u32(p.e);
-    h.u128(p.dinv);
-    h.u128(p.qmax);
-    h.u128(p.low_mask);
-    h.bool(p.is_pow2);
-}
-
-fn checksum_dword(h: &mut Fnv, p: &DwordPlan) {
-    h.u64(5);
-    h.u32(p.width);
-    h.u128(p.d);
-    h.u128(p.m_prime);
-    h.u32(p.l);
-    h.u128(p.d_norm);
-}
-
-fn checksum_urem(h: &mut Fnv, p: &UremPlan) {
-    use crate::plan::UremStrategy;
-    h.u64(6);
-    h.u32(p.width());
-    h.u128(p.divisor());
-    match p.strategy() {
-        UremStrategy::Mask { low_mask } => {
-            h.u64(60);
-            h.u128(low_mask);
-        }
-        UremStrategy::Fraction { c_hi, c_lo } => {
-            h.u64(61);
-            h.u128(c_hi);
-            h.u128(c_lo);
-        }
-        UremStrategy::MulBack { udiv } => {
-            h.u64(62);
-            checksum_udiv(h, &UdivPlan::from_raw(p.divisor(), p.width(), udiv));
-        }
-    }
-}
-
-fn checksum_divisibility(h: &mut Fnv, p: &DivisibilityPlan) {
-    use crate::plan::DivisibilityStrategy;
-    h.u64(7);
-    h.u32(p.width());
-    h.u128(p.divisor());
-    match p.strategy() {
-        DivisibilityStrategy::Mask { low_mask } => {
-            h.u64(70);
-            h.u128(low_mask);
-        }
-        DivisibilityStrategy::InverseRotate { e, dinv, qmax } => {
-            h.u64(71);
-            h.u32(e);
-            h.u128(dinv);
-            h.u128(qmax);
-        }
-    }
-}
-
-/// FNV-1a digest over every constant a plan carries — the integrity
-/// check cached entries are verified against on each hit.
+/// FNV-1a digest of a plan's `derive(Hash)`, which covers every field of
+/// every plan — the integrity check cached entries are verified against
+/// on each hit.
 pub fn plan_checksum(plan: &DivPlan) -> u64 {
-    let mut h = Fnv::new();
-    match plan {
-        DivPlan::Unsigned(p) => checksum_udiv(&mut h, p),
-        DivPlan::Signed(p) => checksum_sdiv(&mut h, p),
-        DivPlan::Floor(p) => checksum_floor(&mut h, p),
-        DivPlan::Exact(p) => checksum_exact(&mut h, p),
-        DivPlan::Dword(p) => checksum_dword(&mut h, p),
-        DivPlan::Urem(p) => checksum_urem(&mut h, p),
-        DivPlan::Divisibility(p) => checksum_divisibility(&mut h, p),
+    let mut h = Fnv::default();
+    plan.hash(&mut h);
+    h.finish()
+}
+
+/// The key bits of an unsigned divisor, if it fits in `width` bits
+/// (a supported width, see [`width_supported`]).
+fn unsigned_bits(d: u128, width: u32) -> Option<u128> {
+    (width == 128 || d >> width == 0).then_some(d)
+}
+
+/// The key bits of a signed divisor, if it fits in `width` bits of two's
+/// complement: sign-extending from bit `width - 1` leaves only sign bits.
+fn signed_bits(d: i128, width: u32) -> Option<u128> {
+    (width == 128 || matches!(d >> (width - 1), 0 | -1)).then_some(d as u128)
+}
+
+/// A plan type [`PlanCache::plan`] memoizes: its shape tag, its builder
+/// and its [`DivPlan`] wrap (`Into<DivPlan>`) and unwrap.
+pub trait CachedPlan: Copy + Into<DivPlan> {
+    /// The divisor type the builder takes (`u128`, or `i128` for the
+    /// signed shapes); trace events carry it as the divisor key.
+    type Divisor: Copy + Into<magicdiv_trace::Value>;
+    /// Tag keeping the shapes' keys apart.
+    const SHAPE: u8;
+    /// `d`'s key bits, or `None` when it does not fit in `width` bits.
+    fn key_bits(d: Self::Divisor, width: u32) -> Option<u128>;
+    /// Plans division by `d` at `width` bits.
+    ///
+    /// # Errors
+    ///
+    /// [`DivisorError::Zero`] for `d == 0`.
+    fn build(d: Self::Divisor, width: u32) -> Result<Self, DivisorError>;
+    /// This shape's plan, if `plan` holds one.
+    fn unwrap(plan: DivPlan) -> Option<Self>;
+}
+
+macro_rules! cached_plans {
+    ($(
+        $plan:ident => $variant:ident, $shape:literal, $divisor:ty, $bits:ident, $build:path;
+    )*) => {$(
+        impl From<$plan> for DivPlan {
+            fn from(p: $plan) -> Self {
+                DivPlan::$variant(p)
+            }
+        }
+
+        impl CachedPlan for $plan {
+            type Divisor = $divisor;
+            const SHAPE: u8 = $shape;
+
+            fn key_bits(d: $divisor, width: u32) -> Option<u128> {
+                $bits(d, width)
+            }
+
+            fn build(d: $divisor, width: u32) -> Result<Self, DivisorError> {
+                $build(d, width)
+            }
+
+            fn unwrap(plan: DivPlan) -> Option<Self> {
+                match plan {
+                    DivPlan::$variant(p) => Some(p),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+// Exact plans are cached for unsigned divisors only; the cached
+// remainder plan is the direct (LKK fraction or mask) one.
+cached_plans! {
+    UdivPlan => Unsigned, 0, u128, unsigned_bits, UdivPlan::new;
+    SdivPlan => Signed, 1, i128, signed_bits, SdivPlan::new;
+    FloorPlan => Floor, 2, i128, signed_bits, FloorPlan::new;
+    ExactPlan => Exact, 3, u128, unsigned_bits, ExactPlan::new_unsigned;
+    DwordPlan => Dword, 4, u128, unsigned_bits, DwordPlan::new;
+    UremPlan => Urem, 5, u128, unsigned_bits, UremPlan::new_direct;
+    DivisibilityPlan => Divisibility, 6, u128, unsigned_bits, DivisibilityPlan::new;
+}
+
+/// The typed fault for a lookup the plan constructors would refuse.
+fn cache_fault(kind: FaultKind) -> Fault {
+    Fault {
+        layer: FaultLayer::Cache,
+        kind,
+        at: None,
     }
-    h.0
 }
 
 /// Counters a [`PlanCache`] accumulates over its lifetime.
@@ -322,20 +238,52 @@ impl PlanCache {
     }
 
     fn shard_index(key: &CacheKey) -> usize {
-        let mut h = Fnv::new();
-        h.u64(key.shape as u64);
-        h.u32(key.width);
-        h.u128(key.d_bits);
-        (h.0 as usize) & (SHARDS - 1)
+        // A fixed byte layout rather than `key.hash`, so shard placement
+        // (which the seeded chaos and metrics reports observe) does not
+        // move when the key's field types do.
+        let mut h = Fnv::default();
+        h.write_u64(u64::from(key.shape));
+        h.write_u64(u64::from(key.width));
+        h.write_u128(key.d_bits);
+        (h.finish() as usize) & (SHARDS - 1)
     }
 
-    /// The memoization core: serve a checksum-verified hit, or build,
-    /// insert (evicting if full) and return.
-    fn get_or_build(
-        &self,
-        key: CacheKey,
-        build: impl Fn() -> Result<DivPlan, Fault>,
-    ) -> Result<DivPlan, Fault> {
+    /// The cached `P` plan for dividing by `d` at `width` bits: serves a
+    /// checksum-verified hit, or builds, inserts (evicting the oldest
+    /// entry of a full shard) and returns.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use magicdiv::cache::PlanCache;
+    /// use magicdiv::plan::FloorPlan;
+    /// use magicdiv::FloorDivisor;
+    ///
+    /// let cache = PlanCache::new(64);
+    /// let plan = cache.plan::<FloorPlan>(-7, 32)?;
+    /// assert_eq!(FloorDivisor::<i32>::from_plan(&plan).divide(100), -15);
+    /// # Ok::<(), magicdiv::Fault>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// `DivideByZero` when `d == 0`; [`FaultKind::UnsupportedWidth`]
+    /// unless `width` is in `1..=64` or exactly 128;
+    /// [`FaultKind::DivisorOutOfRange`] when `d` does not fit in `width`
+    /// bits. The last two are checked before any shard lock is taken,
+    /// so bad input never poisons the cache.
+    pub fn plan<P: CachedPlan>(&self, d: P::Divisor, width: u32) -> Result<P, Fault> {
+        if !width_supported(width) {
+            return Err(cache_fault(FaultKind::UnsupportedWidth { width }));
+        }
+        let Some(d_bits) = P::key_bits(d, width) else {
+            return Err(cache_fault(FaultKind::DivisorOutOfRange { width }));
+        };
+        let key = CacheKey {
+            shape: P::SHAPE,
+            width,
+            d_bits,
+        };
         let shard = &self.shards[Self::shard_index(&key)];
         let mut map = match shard.lock() {
             Ok(map) => map,
@@ -346,18 +294,20 @@ impl PlanCache {
                 self.lock_poisoned.fetch_add(1, Ordering::Relaxed);
                 magicdiv_trace::event!("cache.lock_poisoned",
                     "width" => key.width);
-                return build();
+                return Ok(P::build(d, width)?);
             }
         };
         if let Some(entry) = map.get(&key) {
-            if plan_checksum(&entry.plan) == entry.checksum {
+            let healthy = plan_checksum(&entry.plan) == entry.checksum;
+            if let Some(plan) = P::unwrap(entry.plan).filter(|_| healthy) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 magicdiv_trace::event!("cache.hit",
                     "width" => key.width,
                     "d_bits" => key.d_bits);
-                return Ok(entry.plan);
+                return Ok(plan);
             }
-            // Corrupt entry: evict, count, fall through to rebuild.
+            // Corrupt entry (constants or shape): evict, count, fall
+            // through to rebuild.
             map.remove(&key);
             self.poisoned.fetch_add(1, Ordering::Relaxed);
             magicdiv_trace::event!("cache.poisoned",
@@ -369,7 +319,7 @@ impl PlanCache {
                 "width" => key.width,
                 "d_bits" => key.d_bits);
         }
-        let plan = build()?;
+        let plan = P::build(d, width)?;
         if map.len() >= self.per_shard_capacity {
             // Evict the oldest-stamped entry in this shard.
             if let Some(oldest) = map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
@@ -378,11 +328,12 @@ impl PlanCache {
                 magicdiv_trace::event!("cache.evicted", "width" => key.width);
             }
         }
+        let stored: DivPlan = plan.into();
         map.insert(
             key,
             Entry {
-                plan,
-                checksum: plan_checksum(&plan),
+                plan: stored,
+                checksum: plan_checksum(&stored),
                 stamp: self.stamp.fetch_add(1, Ordering::Relaxed),
             },
         );
@@ -393,212 +344,18 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// `DivideByZero` (as a [`Fault`]) when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported or `d` does not fit, exactly
-    /// as [`UdivPlan::new`].
+    /// As [`plan`](Self::plan).
     pub fn udiv(&self, d: u128, width: u32) -> Result<UdivPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Udiv,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Unsigned(UdivPlan::new(d, width)?)))? {
-            DivPlan::Unsigned(p) => Ok(p),
-            _ => Ok(UdivPlan::new(d, width)?),
-        }
+        self.plan(d, width)
     }
 
     /// Cached [`SdivPlan`] for dividing by `d` at `width` bits.
     ///
     /// # Errors
     ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SdivPlan::new`].
+    /// As [`plan`](Self::plan).
     pub fn sdiv(&self, d: i128, width: u32) -> Result<SdivPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Sdiv,
-            width,
-            d_bits: d as u128,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Signed(SdivPlan::new(d, width)?)))? {
-            DivPlan::Signed(p) => Ok(p),
-            _ => Ok(SdivPlan::new(d, width)?),
-        }
-    }
-
-    /// Cached [`FloorPlan`] for floor-dividing by `d` at `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`FloorPlan::new`].
-    pub fn floor(&self, d: i128, width: u32) -> Result<FloorPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Floor,
-            width,
-            d_bits: d as u128,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Floor(FloorPlan::new(d, width)?)))? {
-            DivPlan::Floor(p) => Ok(p),
-            _ => Ok(FloorPlan::new(d, width)?),
-        }
-    }
-
-    /// Cached unsigned [`ExactPlan`] for exact division by `d`.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ExactPlan::new_unsigned`].
-    pub fn exact_unsigned(&self, d: u128, width: u32) -> Result<ExactPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::ExactUnsigned,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || {
-            Ok(DivPlan::Exact(ExactPlan::new_unsigned(d, width)?))
-        })? {
-            DivPlan::Exact(p) => Ok(p),
-            _ => Ok(ExactPlan::new_unsigned(d, width)?),
-        }
-    }
-
-    /// Cached signed [`ExactPlan`] for exact division by `d`.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ExactPlan::new_signed`].
-    pub fn exact_signed(&self, d: i128, width: u32) -> Result<ExactPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::ExactSigned,
-            width,
-            d_bits: d as u128,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Exact(ExactPlan::new_signed(d, width)?)))? {
-            DivPlan::Exact(p) => Ok(p),
-            _ => Ok(ExactPlan::new_signed(d, width)?),
-        }
-    }
-
-    /// Cached [`DwordPlan`] for doubleword division by `d`.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`DwordPlan::new`].
-    pub fn dword(&self, d: u128, width: u32) -> Result<DwordPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Dword,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Dword(DwordPlan::new(d, width)?)))? {
-            DivPlan::Dword(p) => Ok(p),
-            _ => Ok(DwordPlan::new(d, width)?),
-        }
-    }
-
-    /// Cached direct-remainder [`UremPlan`] (LKK fraction, or a mask
-    /// for powers of two) for `n mod d` at `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`UremPlan::new_direct`].
-    pub fn urem_direct(&self, d: u128, width: u32) -> Result<UremPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Urem,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Urem(UremPlan::new_direct(d, width)?)))? {
-            DivPlan::Urem(p) => Ok(p),
-            _ => Ok(UremPlan::new_direct(d, width)?),
-        }
-    }
-
-    /// Cached [`DivisibilityPlan`] for testing `d | n` at `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`DivisibilityPlan::new`].
-    pub fn divisibility(&self, d: u128, width: u32) -> Result<DivisibilityPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Divisibility,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || {
-            Ok(DivPlan::Divisibility(DivisibilityPlan::new(d, width)?))
-        })? {
-            DivPlan::Divisibility(p) => Ok(p),
-            _ => Ok(DivisibilityPlan::new(d, width)?),
-        }
-    }
-
-    /// An [`UnsignedDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn unsigned_divisor<T: UWord>(&self, d: T) -> Result<UnsignedDivisor<T>, Fault> {
-        Ok(UnsignedDivisor::from_plan(
-            &self.udiv(d.to_u128(), T::BITS)?,
-        ))
-    }
-
-    /// A [`SignedDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn signed_divisor<S: SWord>(&self, d: S) -> Result<SignedDivisor<S>, Fault> {
-        Ok(SignedDivisor::from_plan(&self.sdiv(d.to_i128(), S::BITS)?))
-    }
-
-    /// A [`FloorDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn floor_divisor<S: SWord>(&self, d: S) -> Result<FloorDivisor<S>, Fault> {
-        Ok(FloorDivisor::from_plan(&self.floor(d.to_i128(), S::BITS)?))
-    }
-
-    /// A [`DwordDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn dword_divisor<T: UWord>(&self, d: T) -> Result<DwordDivisor<T>, Fault> {
-        Ok(DwordDivisor::from_plan(&self.dword(d.to_u128(), T::BITS)?))
+        self.plan(d, width)
     }
 
     /// Lifetime counters plus the current entry count.
@@ -662,18 +419,17 @@ impl PlanCache {
 
     // -- chaos / fault-injection hooks -------------------------------------
 
-    /// Fault injection: flips one bit in the *stored* plan for
-    /// (`d`, `width`) — the multiplier constant when the strategy has
-    /// one, else the divisor — leaving the checksum stale. Returns
+    /// Fault injection: corrupts the *stored* plan for (`d`, `width`)
+    /// with [`corrupt_udiv_plan`] at bit 11 — a multiplier bit when the
+    /// strategy has one, else the shift — leaving the checksum stale. Returns
     /// `false` when the entry is absent or its shard lock is poisoned.
     ///
     /// The next [`udiv`](Self::udiv) for the same key must detect the
     /// corruption, evict and rebuild; this is how the chaos harness
     /// exercises the poisoning path.
     pub fn chaos_corrupt_udiv(&self, d: u128, width: u32) -> bool {
-        use crate::plan::UdivStrategy;
         let key = CacheKey {
-            shape: PlanShape::Udiv,
+            shape: UdivPlan::SHAPE,
             width,
             d_bits: d,
         };
@@ -687,26 +443,7 @@ impl PlanCache {
         let DivPlan::Unsigned(plan) = &mut entry.plan else {
             return false;
         };
-        plan.strategy = match plan.strategy {
-            UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
-            UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-                m: m ^ (1 << 11),
-                sh_pre,
-                sh_post,
-            },
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UdivStrategy::MulAddShift {
-                m_minus_pow2n: m_minus_pow2n ^ (1 << 11),
-                sh_post,
-            },
-            UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-                m: m ^ (1 << 11),
-                sh_post,
-            },
-        };
+        *plan = corrupt_udiv_plan(plan, 11);
         true
     }
 
@@ -722,7 +459,7 @@ impl PlanCache {
     #[allow(clippy::panic)]
     pub fn chaos_poison_lock_udiv(&self, d: u128, width: u32) -> bool {
         let key = CacheKey {
-            shape: PlanShape::Udiv,
+            shape: UdivPlan::SHAPE,
             width,
             d_bits: d,
         };
@@ -782,6 +519,40 @@ mod tests {
         let err = cache.udiv(0, 32).expect_err("zero divides nothing");
         assert_eq!(err.kind, FaultKind::DivideByZero);
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn bad_width_or_range_is_typed_and_never_poisons_a_shard() {
+        let cache = PlanCache::new(512);
+        let out_of_range = FaultKind::DivisorOutOfRange { width: 8 };
+        assert_eq!(cache.udiv(300, 8).expect_err("u8").kind, out_of_range);
+        assert_eq!(cache.sdiv(128, 8).expect_err("i8").kind, out_of_range);
+        let floor = cache.plan::<FloorPlan>(-129, 8).expect_err("i8");
+        assert_eq!(floor.kind, out_of_range);
+        assert_eq!(floor.layer, FaultLayer::Cache);
+        for width in [0, 65, 127, 129] {
+            let err = cache.plan::<DwordPlan>(3, width).expect_err("width");
+            assert_eq!(err.kind, FaultKind::UnsupportedWidth { width });
+        }
+        assert_eq!(cache.stats().lock_poisoned, 0);
+        assert_eq!(cache.len(), 0);
+
+        // Every shard still hits and misses normally afterwards.
+        let mut shards = std::collections::BTreeSet::new();
+        for d in 1..=255u128 {
+            shards.insert(PlanCache::shard_index(&CacheKey {
+                shape: UdivPlan::SHAPE,
+                width: 8,
+                d_bits: d,
+            }));
+            let miss = cache.udiv(d, 8).expect("plan");
+            assert_eq!(cache.udiv(d, 8).expect("plan"), miss);
+        }
+        assert_eq!(shards.len(), SHARDS);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (255, 255));
+        assert_eq!((s.poisoned, s.lock_poisoned), (0, 0));
+        assert_eq!(cache.len(), 255);
     }
 
     #[test]
@@ -847,7 +618,10 @@ mod tests {
             DivPlan::Signed(SdivPlan::new(-7, 32).expect("plan")),
             DivPlan::Floor(FloorPlan::new(7, 32).expect("plan")),
             DivPlan::Exact(ExactPlan::new_unsigned(7, 32).expect("plan")),
+            DivPlan::Exact(ExactPlan::new_signed(7, 32).expect("plan")),
             DivPlan::Dword(DwordPlan::new(7, 32).expect("plan")),
+            DivPlan::Urem(UremPlan::new_direct(7, 32).expect("plan")),
+            DivPlan::Divisibility(DivisibilityPlan::new(7, 32).expect("plan")),
         ];
         let sums: Vec<u64> = plans.iter().map(plan_checksum).collect();
         for i in 0..sums.len() {

@@ -133,6 +133,12 @@ pub enum FaultKind {
         /// The offending width in bits.
         width: u32,
     },
+    /// A divisor that does not fit in the requested width (as an
+    /// unsigned word, or in two's complement for the signed shapes).
+    DivisorOutOfRange {
+        /// The width the divisor had to fit in.
+        width: u32,
+    },
     /// A multiplier-selection precision outside `1..=N` (Figure 6.2's
     /// precondition: `prec` counts significant dividend bits and cannot
     /// exceed the word width).
@@ -211,6 +217,9 @@ impl fmt::Display for FaultKind {
             FaultKind::BadProgram(why) => write!(f, "bad program: {why}"),
             FaultKind::UnsupportedWidth { width } => {
                 write!(f, "unsupported width {width}")
+            }
+            FaultKind::DivisorOutOfRange { width } => {
+                write!(f, "divisor does not fit in {width} bits")
             }
             FaultKind::PrecisionOutOfRange { prec, width } => {
                 write!(f, "precision {prec} outside 1..={width}")

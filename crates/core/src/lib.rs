@@ -103,8 +103,8 @@ pub use crate::exact::{
 pub use crate::float::{trunc_div_f64, unsigned_div_f64, MAX_EXACT_BITS_F64};
 pub use crate::floor::{ceil_div_via_trunc, floor_div_via_trunc, mod_positive, FloorDivisor};
 pub use crate::guard::{
-    fault_budget, FaultBudget, GuardPolicy, GuardState, GuardedDwordDivisor, GuardedExactDivisor,
-    GuardedFloorDivisor, GuardedSignedDivisor, GuardedUnsignedDivisor,
+    fault_budget, FaultBudget, GuardFamily, GuardPolicy, GuardState, Guarded, GuardedDwordDivisor,
+    GuardedExactDivisor, GuardedFloorDivisor, GuardedSignedDivisor, GuardedUnsignedDivisor,
 };
 pub use crate::plan::{
     DivPlan, DivisibilityPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,

@@ -55,9 +55,14 @@ fn ceil_log2(d: u128) -> u32 {
     }
 }
 
+/// Whether the plan constructors accept `width`: `1..=64` or exactly 128.
+pub(crate) fn width_supported(width: u32) -> bool {
+    (1..=64).contains(&width) || width == 128
+}
+
 fn assert_width_supported(width: u32) {
     assert!(
-        (1..=64).contains(&width) || width == 128,
+        width_supported(width),
         "plan width must be in 1..=64 or exactly 128, got {width}"
     );
 }
@@ -1447,48 +1452,6 @@ impl fmt::Display for DivPlan {
             DivPlan::Urem(p) => p.fmt(f),
             DivPlan::Divisibility(p) => p.fmt(f),
         }
-    }
-}
-
-impl From<UdivPlan> for DivPlan {
-    fn from(p: UdivPlan) -> Self {
-        DivPlan::Unsigned(p)
-    }
-}
-
-impl From<SdivPlan> for DivPlan {
-    fn from(p: SdivPlan) -> Self {
-        DivPlan::Signed(p)
-    }
-}
-
-impl From<FloorPlan> for DivPlan {
-    fn from(p: FloorPlan) -> Self {
-        DivPlan::Floor(p)
-    }
-}
-
-impl From<ExactPlan> for DivPlan {
-    fn from(p: ExactPlan) -> Self {
-        DivPlan::Exact(p)
-    }
-}
-
-impl From<DwordPlan> for DivPlan {
-    fn from(p: DwordPlan) -> Self {
-        DivPlan::Dword(p)
-    }
-}
-
-impl From<UremPlan> for DivPlan {
-    fn from(p: UremPlan) -> Self {
-        DivPlan::Urem(p)
-    }
-}
-
-impl From<DivisibilityPlan> for DivPlan {
-    fn from(p: DivisibilityPlan) -> Self {
-        DivPlan::Divisibility(p)
     }
 }
 

@@ -1,4 +1,5 @@
-//! Shared test utilities: edge-case catalogs and exhaustive checkers.
+//! Shared test utilities: edge-case catalogs, exhaustive checkers and
+//! the plan-corruption helper fault-injection code shares.
 //!
 //! Public so the codegen, simulator and integration-test crates can reuse
 //! one catalog of "interesting" operands — the boundary values where
@@ -6,6 +7,7 @@
 //! the Fermat-factor divisors 641 and 274177, `MIN`/`MAX`, and the paper's
 //! worked examples).
 
+use crate::plan::{UdivPlan, UdivStrategy};
 use crate::word::{SWord, UWord};
 
 /// Interesting unsigned divisors at width `T` (all nonzero).
@@ -131,6 +133,59 @@ pub fn interesting_signed_dividends<S: SWord>(d: S) -> Vec<S> {
     out
 }
 
+/// SplitMix64 step — the same tiny deterministic generator the bench
+/// harness uses, here so the guard's probe and the tournament's
+/// certifier draw witnesses without a dependency.
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Flips one semantic bit in a `UdivPlan`'s strategy constants,
+/// whatever strategy the planner tournament picked. `bit` is reduced
+/// modulo the plan width so the flip always lands in a constant bit
+/// that survives lowering into the target word type (multiplier
+/// constants live in the low `width + 1` bits; anything above is
+/// truncated away by `from_plan` and the injection would be a no-op).
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::plan::UdivPlan;
+/// use magicdiv::testkit::corrupt_udiv_plan;
+///
+/// let good = UdivPlan::new(7, 32)?;
+/// assert_ne!(corrupt_udiv_plan(&good, 11), good);
+/// # Ok::<(), magicdiv::DivisorError>(())
+/// ```
+pub fn corrupt_udiv_plan(plan: &UdivPlan, bit: u32) -> UdivPlan {
+    let bit = bit % plan.width();
+    let strategy = match plan.strategy() {
+        UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
+        UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
+        UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
+            m: m ^ (1u128 << bit),
+            sh_pre,
+            sh_post,
+        },
+        UdivStrategy::MulAddShift {
+            m_minus_pow2n,
+            sh_post,
+        } => UdivStrategy::MulAddShift {
+            m_minus_pow2n: m_minus_pow2n ^ (1u128 << bit),
+            sh_post,
+        },
+        UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
+            m: m ^ (1u128 << bit),
+            sh_post,
+        },
+    };
+    UdivPlan::from_raw(plan.divisor(), plan.width(), strategy)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +217,16 @@ mod tests {
         let ss = interesting_signed_dividends::<i32>(10);
         for expect in [i32::MIN, -10, -1, 0, 1, 10, i32::MAX] {
             assert!(ss.contains(&expect), "{expect}");
+        }
+    }
+
+    #[test]
+    fn corrupt_udiv_plan_always_changes_the_plan() {
+        for d in [1u128, 2, 3, 7, 10, 641, 65_535] {
+            let plan = UdivPlan::new(d, 32).expect("plan");
+            for bit in [0u32, 5, 31, 63, 127] {
+                assert_ne!(corrupt_udiv_plan(&plan, bit), plan, "d={d} bit={bit}");
+            }
         }
     }
 }

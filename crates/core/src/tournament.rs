@@ -25,6 +25,7 @@ use crate::error::DivisorError;
 use crate::plan::{
     DivPlan, DivisibilityPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
 };
+use crate::testkit::splitmix;
 
 /// How a public constructor selects its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -293,16 +294,6 @@ pub(crate) fn eval_divisibility(plan: &DivisibilityPlan, n: u128) -> u128 {
             u128::from(rot <= qmax)
         }
     }
-}
-
-/// SplitMix64 step — the same deterministic generator the bench harness
-/// uses, inlined here so the core certifier needs no dependency.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Random probes per candidate at widths above the exhaustive range.

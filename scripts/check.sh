@@ -94,10 +94,10 @@ grep -q '"name":"plan.tournament"' target/urem_drift_a.jsonl || {
     exit 1
 }
 
-echo "== bench report self-diff (bench-compare must find zero regressions) =="
+echo "== bench report self-diff (drift must find zero regressions) =="
 mkdir -p target
 ./target/release/bench 50 target/bench_ci.json > /dev/null
-./target/release/bench-compare target/bench_ci.json target/bench_ci.json 5
+./target/release/drift target/bench_ci.json target/bench_ci.json 5
 
 echo "== calibration smoke run (tiny budget; report must parse) =="
 ./target/release/magic calibrate 20 2 target/calibration_ci.json > /dev/null
