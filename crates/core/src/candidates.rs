@@ -25,14 +25,7 @@
 use core::fmt;
 
 use crate::error::DivisorError;
-use crate::plan::{DivPlan, UdivPlan, UdivStrategy, UremPlan};
-
-/// `2^width - 1` as a `u128` (widths `1..=64` here — candidate search
-/// needs `2^(2N)`-scale intermediates, which cap the erased width at 64).
-#[inline]
-fn mask(width: u32) -> u128 {
-    (1u128 << width) - 1
-}
+use crate::plan::{mask, DivPlan, UdivPlan, UdivStrategy, UremPlan};
 
 /// Which strategy family produced a candidate, with citation metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -314,24 +307,7 @@ pub fn urem_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorErr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Evaluate an unsigned strategy in u128 arithmetic (width <= 64).
-    fn eval(plan: &UdivPlan, n: u128) -> u128 {
-        let w = plan.width();
-        match plan.strategy() {
-            UdivStrategy::Identity => n,
-            UdivStrategy::Shift { sh } => n >> sh,
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => ((m * (n >> sh_pre)) >> w) >> sh_post,
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => {
-                let t1 = (m_minus_pow2n * n) >> w;
-                (t1 + ((n - t1) >> 1)) >> (sh_post - 1)
-            }
-            UdivStrategy::MulRoundUp { m, sh_post } => (m * (n + 1)) >> (w + sh_post),
-        }
-    }
+    use crate::tournament::eval_unsigned as eval;
 
     fn unsigned_plan(c: &Candidate) -> UdivPlan {
         match c.plan {

@@ -1,5 +1,11 @@
-//! `CHOOSE_MULTIPLIER` — Figure 6.2 of the paper, shared by the unsigned,
-//! signed-trunc and signed-floor code generators.
+//! `CHOOSE_MULTIPLIER` — Figure 6.2 of the paper, generic over the machine
+//! word and computed in doubleword arithmetic.
+//!
+//! This is the public typed API and the planner's Figure 6.2 at width 128,
+//! where the `2^(N+l)` numerators overflow `u128`. Plans of width `<= 64`
+//! (and the const divisors) run the same selection as a `const fn` in
+//! plain `u128` arithmetic inside [`plan`](crate::plan); a unit test there
+//! pins the two against each other at `N = 64`.
 //!
 //! Given a divisor `d` and a precision `prec` (the number of significant
 //! dividend bits: `N` for unsigned division, `N - 1` for signed), it selects

@@ -3,282 +3,151 @@
 //!
 //! When the divisor is a literal in the source, the reciprocal can be
 //! computed during compilation — exactly what §10 does inside GCC. These
-//! types run the Figure 6.2/4.2/5.2 arithmetic in `const` context, so
-//! `CONST_BY10.divide(x)` has *zero* runtime setup and the constants can
-//! live in `static`s without `OnceLock`.
+//! types run the planner's own `const fn` Figure 4.2 decision (over the
+//! `u128` Figure 6.2 in [`plan`](crate::plan)) and store its
+//! [`UdivStrategy`] at their native word, so `CONST_BY10.divide(x)` has
+//! *zero* runtime setup and the constants can live in `static`s without
+//! `OnceLock`.
 //!
 //! (The generic [`UnsignedDivisor`](crate::UnsignedDivisor) cannot be
 //! `const fn` on stable Rust — trait methods aren't callable in `const`
 //! contexts — so these concrete 32/64-bit variants exist alongside it.)
 
-/// A `const`-constructible unsigned 32-bit divisor (Fig 4.2 strategy).
-///
-/// # Examples
-///
-/// ```
-/// use magicdiv::ConstU32Divisor;
-///
-/// // Evaluated entirely at compile time:
-/// const BY10: ConstU32Divisor = ConstU32Divisor::new(10);
-/// static BY7: ConstU32Divisor = ConstU32Divisor::new(7);
-///
-/// assert_eq!(BY10.divide(1994), 199);
-/// assert_eq!(BY7.divide(u32::MAX), u32::MAX / 7);
-/// assert_eq!(BY10.div_rem(1234), (123, 4));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ConstU32Divisor {
-    d: u32,
-    /// Encoded strategy: 0 = shift, 1 = mul+shift (m < 2^32),
-    /// 2 = add-fixup (m - 2^32 stored).
-    kind: u8,
-    m: u32,
-    sh_pre: u32,
-    sh_post: u32,
-}
+use crate::plan::{udiv_strategy, UdivStrategy};
 
-/// Fig 6.2 in const u128 arithmetic for N = 32.
-const fn choose_u32(d: u32, prec: u32) -> (u128, u32) {
-    let l = if d == 1 {
-        0
-    } else {
-        32 - ((d - 1).leading_zeros())
-    };
-    let mut sh_post = l;
-    let mut m_low = (1u128 << (32 + l)) / d as u128;
-    let mut m_high = ((1u128 << (32 + l)) + (1u128 << (32 + l - prec))) / d as u128;
-    while m_low / 2 < m_high / 2 && sh_post > 0 {
-        m_low /= 2;
-        m_high /= 2;
-        sh_post -= 1;
-    }
-    (m_high, sh_post)
-}
+/// One const divisor type per word: `$t` is the word, `$wide` the
+/// doubleword its `MULUH` products are formed in.
+macro_rules! const_divisor {
+    ($(#[$doc:meta])* $name:ident, $t:ty, $wide:ty) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub struct $name {
+            d: $t,
+            strategy: UdivStrategy<$t>,
+        }
 
-impl ConstU32Divisor {
-    /// Computes the reciprocal constants at compile time.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time, when used in `const` position) if
-    /// `d == 0`.
-    pub const fn new(d: u32) -> Self {
-        assert!(d != 0, "divisor is zero");
-        if d.is_power_of_two() {
-            return ConstU32Divisor {
-                d,
-                kind: 0,
-                m: 0,
-                sh_pre: 0,
-                sh_post: d.trailing_zeros(),
-            };
-        }
-        let (m, sh_post) = choose_u32(d, 32);
-        if m < 1 << 32 {
-            return ConstU32Divisor {
-                d,
-                kind: 1,
-                m: m as u32,
-                sh_pre: 0,
-                sh_post,
-            };
-        }
-        // Even divisor: pre-shift and re-choose (Fig 4.2).
-        if d & 1 == 0 {
-            let e = d.trailing_zeros();
-            let (m2, sp) = choose_u32(d >> e, 32 - e);
-            return ConstU32Divisor {
-                d,
-                kind: 1,
-                m: m2 as u32,
-                sh_pre: e,
-                sh_post: sp,
-            };
-        }
-        // Odd divisor with an oversized multiplier: the add-fixup path.
-        ConstU32Divisor {
-            d,
-            kind: 2,
-            m: (m - (1 << 32)) as u32,
-            sh_pre: 0,
-            sh_post,
-        }
-    }
-
-    /// The divisor this reciprocal was computed for.
-    pub const fn divisor(self) -> u32 {
-        self.d
-    }
-
-    /// Computes `n / d` without a division instruction; usable in `const`
-    /// contexts itself.
-    pub const fn divide(self, n: u32) -> u32 {
-        match self.kind {
-            0 => n >> self.sh_post,
-            1 => {
-                let hi = ((self.m as u64 * (n >> self.sh_pre) as u64) >> 32) as u32;
-                hi >> self.sh_post
+        impl $name {
+            /// Computes the reciprocal constants at compile time.
+            ///
+            /// # Panics
+            ///
+            /// Panics (at compile time, when used in `const` position) if
+            /// `d == 0`.
+            pub const fn new(d: $t) -> Self {
+                assert!(d != 0, "divisor is zero");
+                // The plan's u128 constants narrowed to the word; `map`
+                // takes a closure and so is not callable in a `const fn`.
+                let strategy = match udiv_strategy(d as u128, <$t>::BITS) {
+                    UdivStrategy::Identity => UdivStrategy::Identity,
+                    UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh },
+                    UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
+                        m: m as $t,
+                        sh_pre,
+                        sh_post,
+                    },
+                    UdivStrategy::MulAddShift {
+                        m_minus_pow2n,
+                        sh_post,
+                    } => UdivStrategy::MulAddShift {
+                        m_minus_pow2n: m_minus_pow2n as $t,
+                        sh_post,
+                    },
+                    // Fig 4.2 never selects Li's round-up shape.
+                    UdivStrategy::MulRoundUp { .. } => unreachable!(),
+                };
+                $name { d, strategy }
             }
-            _ => {
-                let t = ((self.m as u64 * n as u64) >> 32) as u32;
-                let q = t.wrapping_add(n.wrapping_sub(t) >> 1);
-                q >> (self.sh_post - 1)
+
+            /// The divisor this reciprocal was computed for.
+            pub const fn divisor(self) -> $t {
+                self.d
+            }
+
+            /// `MULUH(a, b)`: the high word of the doubleword product.
+            const fn muluh(a: $t, b: $t) -> $t {
+                ((a as $wide * b as $wide) >> <$t>::BITS) as $t
+            }
+
+            /// Computes `n / d` without a division instruction; usable in
+            /// `const` contexts itself.
+            pub const fn divide(self, n: $t) -> $t {
+                match self.strategy {
+                    UdivStrategy::Identity => n,
+                    UdivStrategy::Shift { sh } => n >> sh,
+                    UdivStrategy::MulShift { m, sh_pre, sh_post } => {
+                        Self::muluh(m, n >> sh_pre) >> sh_post
+                    }
+                    UdivStrategy::MulAddShift {
+                        m_minus_pow2n,
+                        sh_post,
+                    } => {
+                        let t = Self::muluh(m_minus_pow2n, n);
+                        t.wrapping_add(n.wrapping_sub(t) >> 1) >> (sh_post - 1)
+                    }
+                    // Fig 4.2 never selects Li's round-up shape.
+                    UdivStrategy::MulRoundUp { .. } => unreachable!(),
+                }
+            }
+
+            /// Computes `n % d`.
+            pub const fn remainder(self, n: $t) -> $t {
+                n.wrapping_sub(self.divide(n).wrapping_mul(self.d))
+            }
+
+            /// Computes quotient and remainder together.
+            pub const fn div_rem(self, n: $t) -> ($t, $t) {
+                let q = self.divide(n);
+                (q, n.wrapping_sub(q.wrapping_mul(self.d)))
             }
         }
-    }
-
-    /// Computes `n % d`.
-    pub const fn remainder(self, n: u32) -> u32 {
-        n.wrapping_sub(self.divide(n).wrapping_mul(self.d))
-    }
-
-    /// Computes quotient and remainder together.
-    pub const fn div_rem(self, n: u32) -> (u32, u32) {
-        let q = self.divide(n);
-        (q, n.wrapping_sub(q.wrapping_mul(self.d)))
-    }
+    };
 }
 
-/// A `const`-constructible unsigned 64-bit divisor.
-///
-/// # Examples
-///
-/// ```
-/// use magicdiv::ConstU64Divisor;
-///
-/// const BY1E9_7: ConstU64Divisor = ConstU64Divisor::new(1_000_000_007);
-/// assert_eq!(BY1E9_7.divide(u64::MAX), u64::MAX / 1_000_000_007);
-/// // Even in const position:
-/// const Q: u64 = BY1E9_7.divide(123_456_789_012_345);
-/// assert_eq!(Q, 123_456_789_012_345 / 1_000_000_007);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ConstU64Divisor {
-    d: u64,
-    kind: u8,
-    m: u64,
-    sh_pre: u32,
-    sh_post: u32,
-}
-
-/// Fig 6.2 in const arithmetic for N = 64: numerators up to `2^(64+l)`
-/// need careful u128 handling when `l = 64` (the `2^128` case), using the
-/// same `(2^(2N) - 1)` trick as the runtime implementation.
-const fn choose_u64(d: u64, prec: u32) -> (u128, u32) {
-    let l = if d == 1 {
-        0
-    } else {
-        64 - ((d - 1).leading_zeros())
-    };
-    let mut sh_post = l;
-    // ⌊2^(64+l)/d⌋ with the overflow-free trick for l = 64.
-    let mut m_low = if 64 + l == 128 {
-        // d is not a power of two here (handled by the caller), so
-        // ⌊(2^128 - 1)/d⌋ == ⌊2^128/d⌋.
-        u128::MAX / d as u128
-    } else {
-        (1u128 << (64 + l)) / d as u128
-    };
-    let mut m_high = if 64 + l == 128 {
-        // (2^128 + 2^(128-prec))/d = m_low + (2^(128-prec) + r)/d where
-        // 2^128 = m_low*d + (r+1), computed without overflow.
-        let r_low = (u128::MAX % d as u128) + 1; // == 2^128 mod d (d not pow2)
-        let b = 1u128 << (128 - prec);
-        m_low + (b + r_low) / d as u128
-    } else {
-        ((1u128 << (64 + l)) + (1u128 << (64 + l - prec))) / d as u128
-    };
-    while m_low / 2 < m_high / 2 && sh_post > 0 {
-        m_low /= 2;
-        m_high /= 2;
-        sh_post -= 1;
-    }
-    (m_high, sh_post)
-}
-
-impl ConstU64Divisor {
-    /// Computes the reciprocal constants at compile time.
+const_divisor!(
+    /// A `const`-constructible unsigned 32-bit divisor (Fig 4.2 strategy).
     ///
-    /// # Panics
+    /// # Examples
     ///
-    /// Panics if `d == 0`.
-    pub const fn new(d: u64) -> Self {
-        assert!(d != 0, "divisor is zero");
-        if d.is_power_of_two() {
-            return ConstU64Divisor {
-                d,
-                kind: 0,
-                m: 0,
-                sh_pre: 0,
-                sh_post: d.trailing_zeros(),
-            };
-        }
-        let (m, sh_post) = choose_u64(d, 64);
-        if m < 1 << 64 {
-            return ConstU64Divisor {
-                d,
-                kind: 1,
-                m: m as u64,
-                sh_pre: 0,
-                sh_post,
-            };
-        }
-        if d & 1 == 0 {
-            let e = d.trailing_zeros();
-            let (m2, sp) = choose_u64(d >> e, 64 - e);
-            return ConstU64Divisor {
-                d,
-                kind: 1,
-                m: m2 as u64,
-                sh_pre: e,
-                sh_post: sp,
-            };
-        }
-        ConstU64Divisor {
-            d,
-            kind: 2,
-            m: (m - (1 << 64)) as u64,
-            sh_pre: 0,
-            sh_post,
-        }
-    }
+    /// ```
+    /// use magicdiv::ConstU32Divisor;
+    ///
+    /// // Evaluated entirely at compile time:
+    /// const BY10: ConstU32Divisor = ConstU32Divisor::new(10);
+    /// static BY7: ConstU32Divisor = ConstU32Divisor::new(7);
+    ///
+    /// assert_eq!(BY10.divide(1994), 199);
+    /// assert_eq!(BY7.divide(u32::MAX), u32::MAX / 7);
+    /// assert_eq!(BY10.div_rem(1234), (123, 4));
+    /// ```
+    ConstU32Divisor,
+    u32,
+    u64
+);
 
-    /// The divisor this reciprocal was computed for.
-    pub const fn divisor(self) -> u64 {
-        self.d
-    }
-
-    /// Computes `n / d` without a division instruction.
-    pub const fn divide(self, n: u64) -> u64 {
-        match self.kind {
-            0 => n >> self.sh_post,
-            1 => {
-                let hi = ((self.m as u128 * (n >> self.sh_pre) as u128) >> 64) as u64;
-                hi >> self.sh_post
-            }
-            _ => {
-                let t = ((self.m as u128 * n as u128) >> 64) as u64;
-                let q = t.wrapping_add(n.wrapping_sub(t) >> 1);
-                q >> (self.sh_post - 1)
-            }
-        }
-    }
-
-    /// Computes `n % d`.
-    pub const fn remainder(self, n: u64) -> u64 {
-        n.wrapping_sub(self.divide(n).wrapping_mul(self.d))
-    }
-
-    /// Computes quotient and remainder together.
-    pub const fn div_rem(self, n: u64) -> (u64, u64) {
-        let q = self.divide(n);
-        (q, n.wrapping_sub(q.wrapping_mul(self.d)))
-    }
-}
+const_divisor!(
+    /// A `const`-constructible unsigned 64-bit divisor.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use magicdiv::ConstU64Divisor;
+    ///
+    /// const BY1E9_7: ConstU64Divisor = ConstU64Divisor::new(1_000_000_007);
+    /// assert_eq!(BY1E9_7.divide(u64::MAX), u64::MAX / 1_000_000_007);
+    /// // Even in const position:
+    /// const Q: u64 = BY1E9_7.divide(123_456_789_012_345);
+    /// assert_eq!(Q, 123_456_789_012_345 / 1_000_000_007);
+    /// ```
+    ConstU64Divisor,
+    u64,
+    u128
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::UdivPlan;
+    use crate::testkit::splitmix;
     use crate::UnsignedDivisor;
 
     #[test]
@@ -347,6 +216,38 @@ mod tests {
                 assert_eq!(cd.divide(n), rd.divide(n), "n={n} d={d}");
                 assert_eq!(cd.divide(n), n / d, "n={n} d={d}");
             }
+        }
+    }
+
+    #[test]
+    fn const_and_traced_fig_4_2_decisions_agree() {
+        // The const decision and UdivPlan::new's traced one must pick the
+        // same strategy and constants: every 16-bit d at width 32, then
+        // boundary and pseudorandom d at width 64.
+        for d in 1u32..=65_535 {
+            let plan = UdivPlan::new(u128::from(d), 32).unwrap();
+            assert_eq!(
+                ConstU32Divisor::new(d).strategy,
+                plan.strategy().map(|m| m as u32),
+                "d={d}"
+            );
+        }
+        let mut ds: Vec<u64> = vec![1, 3, 7, 10, 641, 274177, u64::MAX / 3, u64::MAX];
+        for k in 1..64 {
+            ds.extend([(1u64 << k) - 1, 1 << k, (1u64 << k) + 1]);
+        }
+        let mut state = 0xc0_57d1_u64;
+        for _ in 0..20_000 {
+            let x = splitmix(&mut state);
+            ds.push((x >> (x & 63)).max(1));
+        }
+        for d in ds {
+            let plan = UdivPlan::new(u128::from(d), 64).unwrap();
+            assert_eq!(
+                ConstU64Divisor::new(d).strategy,
+                plan.strategy().map(|m| m as u64),
+                "d={d}"
+            );
         }
     }
 

@@ -21,9 +21,6 @@ use magicdiv_dword::Limb;
 
 use crate::error::DivisorError;
 use crate::plan::ExactPlan;
-use crate::tournament::{
-    paper_only_tournament, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
-};
 use crate::word::{SWord, UWord};
 
 /// Multiplicative inverse of an odd word modulo `2^N` by Newton's
@@ -315,33 +312,6 @@ impl<S: SWord> ExactSignedDivisor<S> {
         }
     }
 
-    /// Builds the divisor through the planner-tournament entry point.
-    ///
-    /// No competing candidate families exist for §9 exact division yet:
-    /// every [`Strategy`] selects the paper's odd-part-inverse plan, and
-    /// [`Strategy::Tournament`] wraps it in the single-candidate
-    /// scoreboard (emitting `plan.tournament` events) so callers can
-    /// treat every shape uniformly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: S,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let this = Self::new(d)?;
-        let tournament = match strategy {
-            Strategy::PaperOnly => None,
-            Strategy::Tournament => Some(paper_only_tournament(
-                this.plan().into(),
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )),
-        };
-        Ok((this, tournament))
-    }
-
     /// The divisor this inverse was computed for.
     #[inline]
     pub fn divisor(&self) -> S {
@@ -506,20 +476,6 @@ impl<S: SWord> Iterator for DivisibilityScanner<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_strategy_wraps_the_paper_plan_in_a_scoreboard() {
-        let (paper_only, none) = ExactSignedDivisor::<i32>::with_strategy(12, Strategy::PaperOnly)
-            .expect("nonzero divisor");
-        assert_eq!(none, None);
-        let (selected, tournament) =
-            ExactSignedDivisor::<i32>::with_strategy(12, Strategy::Tournament)
-                .expect("nonzero divisor");
-        assert_eq!(selected.plan(), paper_only.plan());
-        let t = tournament.expect("tournament strategy returns a scoreboard");
-        assert!(t.winner_is_paper());
-        assert_eq!(selected.divide_exact(144), 12);
-    }
 
     #[test]
     fn inverses_agree_and_invert() {

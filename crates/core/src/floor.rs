@@ -18,9 +18,6 @@ use magicdiv_dword::Limb;
 use crate::error::DivisorError;
 use crate::plan::{FloorPlan, FloorStrategy};
 use crate::signed::SignedDivisor;
-use crate::tournament::{
-    paper_only_tournament, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
-};
 use crate::word::{SWord, UWord};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,33 +115,6 @@ impl<S: SWord> FloorDivisor<S> {
             d: S::from_i128_truncate(plan.divisor()),
             variant,
         }
-    }
-
-    /// Builds the divisor through the planner-tournament entry point.
-    ///
-    /// No competing candidate families exist for floor division yet:
-    /// every [`Strategy`] selects the paper's Fig 6.1 plan, and
-    /// [`Strategy::Tournament`] wraps it in the single-candidate
-    /// scoreboard (emitting `plan.tournament` events) so callers can
-    /// treat every shape uniformly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: S,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let this = Self::new(d)?;
-        let tournament = match strategy {
-            Strategy::PaperOnly => None,
-            Strategy::Tournament => Some(paper_only_tournament(
-                this.plan().into(),
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )),
-        };
-        Ok((this, tournament))
     }
 
     /// The divisor this reciprocal was computed for.
@@ -326,19 +296,6 @@ pub fn mod_positive<S: SWord>(n: S, d: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_strategy_wraps_the_paper_plan_in_a_scoreboard() {
-        let (paper_only, none) =
-            FloorDivisor::<i32>::with_strategy(7, Strategy::PaperOnly).expect("nonzero divisor");
-        assert_eq!(none, None);
-        let (selected, tournament) =
-            FloorDivisor::<i32>::with_strategy(7, Strategy::Tournament).expect("nonzero divisor");
-        assert_eq!(selected.plan(), paper_only.plan());
-        let t = tournament.expect("tournament strategy returns a scoreboard");
-        assert!(t.winner_is_paper());
-        assert_eq!(selected.divide(-1), -1);
-    }
 
     fn floor_div_oracle(n: i32, d: i32) -> i32 {
         // div_euclid differs from floor for negative divisors; compute floor

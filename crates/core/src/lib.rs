@@ -17,7 +17,7 @@
 //! | §6.2 multiplier selection | [`choose_multiplier`] (Fig 6.2) |
 //! | strategy selection (all of the above) | [`plan`]: [`UdivPlan`], [`SdivPlan`], [`FloorPlan`], [`ExactPlan`], [`UremPlan`], [`DivisibilityPlan`], [`DivPlan`] |
 //! | planner tournament (candidate families beyond the paper) | [`candidates`], [`tournament`]: [`select_udiv`], [`Strategy`] |
-//! | §10 compile-time constants | [`ConstU32Divisor`], [`ConstU64Divisor`] (`const fn` construction) |
+//! | §10 compile-time constants | [`ConstU32Divisor`], [`ConstU64Divisor`] (`const fn` construction through the planner's `const fn` Fig 4.2) |
 //! | §7 floating point | [`trunc_div_f64`], [`unsigned_div_f64`] |
 //! | §8 udword ÷ uword | [`DwordDivisor`] (Fig 8.1) |
 //! | §9 exact division & divisibility | [`ExactUnsignedDivisor`], [`ExactSignedDivisor`], [`DivisibilityScanner`], [`mod_inverse_newton`], [`mod_inverse_bitwise`] |
@@ -49,10 +49,14 @@
 //!
 //! * Strategy selection lives in one place: the [`plan`] module. Every
 //!   divisor's `new` builds a width-erased plan ([`UdivPlan`] & friends)
-//!   and caches its constants at the native word type; the code
-//!   generators in `magicdiv-codegen` and the cycle estimator in
-//!   `magicdiv-simcpu` consume the *same* plans, so the layers cannot
-//!   disagree about which sequence a divisor gets.
+//!   and stores it at its native word type: [`UnsignedDivisor<T>`] and
+//!   [`SignedDivisor<S>`] hold the plan's own strategy enum with `T`/`S`
+//!   constants ([`UnsignedStrategy`] and [`SignedStrategy`] are aliases
+//!   of it). The const divisors take their Fig 4.2 decision from the
+//!   same module's `const fn`. The code generators in `magicdiv-codegen`
+//!   and the cycle estimator in `magicdiv-simcpu` consume the *same*
+//!   plans, so the layers cannot disagree about which sequence a divisor
+//!   gets.
 //! * Every divisor type precomputes its constants once (`new`) and then
 //!   divides with straight-line integer code — one `MULUH`/`MULSH`, a few
 //!   adds and shifts, exactly the operation counts the paper reports.
@@ -111,9 +115,9 @@ pub use crate::plan::{
 };
 pub use crate::signed::{InvariantSignedDivisor, SignedDivisor, SignedStrategy};
 pub use crate::tournament::{
-    paper_only_tournament, run_udiv_tournament, run_urem_tournament, select_udiv, select_urem,
-    ArithmeticCertifier, Certification, LossReason, OpCountScorer, Outcome, PlanCertifier,
-    PlanScorer, ScoredCandidate, Strategy, TournamentResult, UdivSelection, UremSelection,
+    run_udiv_tournament, run_urem_tournament, select_udiv, select_urem, ArithmeticCertifier,
+    Certification, LossReason, OpCountScorer, Outcome, PlanCertifier, PlanScorer, ScoredCandidate,
+    Strategy, TournamentResult, UdivSelection, UremSelection,
 };
 pub use crate::udword_div::DwordDivisor;
 pub use crate::unsigned::{InvariantUnsignedDivisor, UnsignedDivisor, UnsignedStrategy};

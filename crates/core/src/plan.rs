@@ -17,12 +17,20 @@
 //!
 //! This module is the **only** place that runs the paper's selection
 //! logic (`CHOOSE_MULTIPLIER` dispatch, even-divisor pre-shift re-choose,
-//! add-indicator overflow handling). The runtime divisor structs in
-//! [`unsigned`](crate::UnsignedDivisor), [`signed`](crate::SignedDivisor),
-//! [`floor`](crate::FloorDivisor) and [`exact`](crate::ExactUnsignedDivisor)
-//! construct a plan in `new()` and cache its constants at their native
-//! word type; `magicdiv-codegen` lowers the same plans to IR. A divisor
-//! and the generated code can therefore never disagree about strategy.
+//! add-indicator overflow handling). The plan constructors make each
+//! decision with trace events; for `width <= 64` Figure 6.2 is one
+//! `const fn` in `u128` arithmetic, and the untraced `const fn` Figure
+//! 4.2 decision on top of it builds the const divisors
+//! ([`ConstU32Divisor`](crate::ConstU32Divisor),
+//! [`ConstU64Divisor`](crate::ConstU64Divisor)). The runtime divisor
+//! structs in [`unsigned`](crate::UnsignedDivisor),
+//! [`signed`](crate::SignedDivisor), [`floor`](crate::FloorDivisor) and
+//! [`exact`](crate::ExactUnsignedDivisor) construct a plan in `new()` and
+//! store it at their native word type (the unsigned and signed divisors
+//! hold the plan's own strategy enum, `UdivStrategy<T>` /
+//! `SdivStrategy<S>`); `magicdiv-codegen` lowers the same plans to IR. A
+//! divisor and the generated code can therefore never disagree about
+//! strategy.
 //!
 //! Constants are stored as `u128` (the widest supported word), masked to
 //! the plan's width. Supported widths are `1..=64` (the IR's range, used
@@ -37,7 +45,7 @@ use crate::error::DivisorError;
 
 /// `2^width - 1` as a `u128`.
 #[inline]
-fn mask(width: u32) -> u128 {
+pub(crate) const fn mask(width: u32) -> u128 {
     if width == 128 {
         u128::MAX
     } else {
@@ -47,7 +55,7 @@ fn mask(width: u32) -> u128 {
 
 /// `⌈log2 d⌉` for `d >= 1`.
 #[inline]
-fn ceil_log2(d: u128) -> u32 {
+const fn ceil_log2(d: u128) -> u32 {
     if d == 1 {
         0
     } else {
@@ -80,38 +88,85 @@ struct MagicRaw {
     sh_post: u32,
 }
 
-/// Figure 6.2 at an arbitrary width: `width <= 63` runs the selection
-/// directly in `u128` arithmetic; `width == 64` and `width == 128`
-/// delegate to the typed [`choose_multiplier`], whose doubleword substrate
-/// handles the `2^(N+l)` numerators that overflow `u128`.
+/// Figure 6.2 for `width <= 64`, in plain `u128` arithmetic. A `const fn`,
+/// so [`udiv_strategy`] (and through it the const divisors) runs the same
+/// selection as the traced planners.
+///
+/// Every numerator `2^(N+l) + 2^(N+l-prec)` fits a `u128` except at
+/// `l = N = 64`, where `2^128` does not. There `d` lies strictly between
+/// `2^63` and `2^64`, so it is not a power of two: `⌊2^128/d⌋` equals
+/// `⌊(2^128 - 1)/d⌋`, and `2^128 mod d` is `(2^128 - 1) mod d + 1`.
+const fn magic_native(d: u128, width: u32, prec: u32) -> MagicRaw {
+    debug_assert!(width <= 64 && d >= 1 && d <= mask(width));
+    debug_assert!(prec >= 1 && prec <= width);
+    let l = ceil_log2(d);
+    let k = width + l;
+    let mut sh_post = l;
+    let (mut m_low, mut m_high) = if k < 128 {
+        ((1u128 << k) / d, ((1u128 << k) + (1u128 << (k - prec))) / d)
+    } else {
+        let m_low = u128::MAX / d;
+        let r_low = u128::MAX % d + 1;
+        (m_low, m_low + ((1u128 << (128 - prec)) + r_low) / d)
+    };
+    while m_low >> 1 < m_high >> 1 && sh_post > 0 {
+        m_low >>= 1;
+        m_high >>= 1;
+        sh_post -= 1;
+    }
+    MagicRaw {
+        m_low: m_high & mask(width),
+        fits: m_high <= mask(width),
+        sh_post,
+    }
+}
+
+/// Figure 4.2 for `width <= 64` without trace events: the `const fn`
+/// decision behind [`ConstU32Divisor`](crate::ConstU32Divisor) and
+/// [`ConstU64Divisor`](crate::ConstU64Divisor). [`UdivPlan::new`] makes
+/// the same decision with events (a `const fn` cannot emit them) and at
+/// width 128; a unit test pins the two to each other.
+pub(crate) const fn udiv_strategy(d: u128, width: u32) -> UdivStrategy {
+    debug_assert!(d >= 1);
+    if d == 1 {
+        return UdivStrategy::Identity;
+    }
+    if d.is_power_of_two() {
+        return UdivStrategy::Shift {
+            sh: d.trailing_zeros(),
+        };
+    }
+    let raw = magic_native(d, width, width);
+    if raw.fits {
+        UdivStrategy::MulShift {
+            m: raw.m_low,
+            sh_pre: 0,
+            sh_post: raw.sh_post,
+        }
+    } else if d & 1 == 0 {
+        let e = d.trailing_zeros();
+        let raw = magic_native(d >> e, width, width - e);
+        UdivStrategy::MulShift {
+            m: raw.m_low,
+            sh_pre: e,
+            sh_post: raw.sh_post,
+        }
+    } else {
+        UdivStrategy::MulAddShift {
+            m_minus_pow2n: raw.m_low,
+            sh_post: raw.sh_post,
+        }
+    }
+}
+
+/// Figure 6.2 at a plan width: `magic_native` up to 64 bits; width 128
+/// delegates to the typed [`choose_multiplier`], whose doubleword
+/// substrate handles the `2^(N+l)` numerators that overflow `u128`.
 fn magic(d: u128, width: u32, prec: u32) -> MagicRaw {
     debug_assert!(d >= 1 && (width == 128 || d <= mask(width)));
     debug_assert!((1..=width).contains(&prec));
     let raw = match width {
-        0..=63 => {
-            let l = ceil_log2(d);
-            let mut sh_post = l;
-            let mut m_low = (1u128 << (width + l)) / d;
-            let mut m_high = ((1u128 << (width + l)) + (1u128 << (width + l - prec))) / d;
-            while m_low >> 1 < m_high >> 1 && sh_post > 0 {
-                m_low >>= 1;
-                m_high >>= 1;
-                sh_post -= 1;
-            }
-            MagicRaw {
-                m_low: m_high & mask(width),
-                fits: m_high <= mask(width),
-                sh_post,
-            }
-        }
-        64 => {
-            let c = choose_multiplier(d as u64, prec);
-            MagicRaw {
-                m_low: c.multiplier_low_word() as u128,
-                fits: c.multiplier_fits_word(),
-                sh_post: c.sh_post,
-            }
-        }
+        1..=64 => magic_native(d, width, prec),
         128 => {
             let c = choose_multiplier(d, prec);
             MagicRaw {
@@ -146,10 +201,16 @@ fn mod_inverse(d_odd: u128, width: u32) -> u128 {
     inv & m
 }
 
-/// The code shape Figure 4.2 selects for an unsigned divisor — the
-/// width-erased twin of [`UnsignedStrategy`](crate::UnsignedStrategy).
+/// The code shape Figure 4.2 selects for an unsigned divisor, with its
+/// constants as `M` words.
+///
+/// A plan stores the width-erased `UdivStrategy` (`M = u128`, masked to
+/// the plan width). [`UnsignedDivisor<T>`](crate::UnsignedDivisor) stores
+/// the same enum at its native word (`UdivStrategy<T>`, also exported as
+/// [`UnsignedStrategy<T>`](crate::UnsignedStrategy)); [`map`](Self::map)
+/// converts between the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UdivStrategy {
+pub enum UdivStrategy<M = u128> {
     /// `d == 1`: the quotient is the dividend.
     Identity,
     /// `d == 2^sh`: a single logical right shift.
@@ -160,7 +221,7 @@ pub enum UdivStrategy {
     /// `m < 2^N`: `q = SRL(MULUH(m, SRL(n, sh_pre)), sh_post)`.
     MulShift {
         /// The magic multiplier, `m < 2^N`.
-        m: u128,
+        m: M,
         /// Pre-shift (log2 of the even part of `d`), often 0.
         sh_pre: u32,
         /// Post-shift applied to the high product half.
@@ -170,7 +231,7 @@ pub enum UdivStrategy {
     /// `t = MULUH(m - 2^N, n); q = SRL(t + SRL(n - t, 1), sh_post - 1)`.
     MulAddShift {
         /// The multiplier with its `2^N` bit removed.
-        m_minus_pow2n: u128,
+        m_minus_pow2n: M,
         /// Post-shift (at least 1).
         sh_post: u32,
     },
@@ -180,10 +241,36 @@ pub enum UdivStrategy {
     /// produced by the paper baseline; only a tournament candidate.
     MulRoundUp {
         /// The round-down magic multiplier, `m = ⌊2^(N+sh_post)/d⌋ < 2^N`.
-        m: u128,
+        m: M,
         /// Post-shift applied to the fixed-up high product half.
         sh_post: u32,
     },
+}
+
+impl<M> UdivStrategy<M> {
+    /// The same strategy with every constant word passed through `f` —
+    /// how a divisor narrows a plan to its native word and widens it back.
+    pub fn map<N>(self, mut f: impl FnMut(M) -> N) -> UdivStrategy<N> {
+        match self {
+            UdivStrategy::Identity => UdivStrategy::Identity,
+            UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh },
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
+                m: f(m),
+                sh_pre,
+                sh_post,
+            },
+            UdivStrategy::MulAddShift {
+                m_minus_pow2n,
+                sh_post,
+            } => UdivStrategy::MulAddShift {
+                m_minus_pow2n: f(m_minus_pow2n),
+                sh_post,
+            },
+            UdivStrategy::MulRoundUp { m, sh_post } => {
+                UdivStrategy::MulRoundUp { m: f(m), sh_post }
+            }
+        }
+    }
 }
 
 /// A complete unsigned-division plan: divisor, width and selected
@@ -350,12 +437,17 @@ impl fmt::Display for UdivPlan {
     }
 }
 
-/// The code shape Figure 5.2 selects for a signed divisor — the
-/// width-erased twin of [`SignedStrategy`](crate::SignedStrategy).
-/// Constants are the `|d|` sequence; [`SdivPlan::negate`] records the
-/// final negation for `d < 0`.
+/// The code shape Figure 5.2 selects for a signed divisor, with its
+/// constants as `M` words. Constants are the `|d|` sequence;
+/// [`SdivPlan::negate`] records the final negation for `d < 0`.
+///
+/// A plan stores the width-erased `SdivStrategy` (`M = u128`, the `N`-bit
+/// pattern). [`SignedDivisor<S>`](crate::SignedDivisor) stores the same
+/// enum at its native signed word (`SdivStrategy<S>`, also exported as
+/// [`SignedStrategy<S>`](crate::SignedStrategy)); [`map`](Self::map)
+/// converts between the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SdivStrategy {
+pub enum SdivStrategy<M = u128> {
     /// `|d| == 1`: copy (and negate when `d == -1`).
     Identity,
     /// `|d| == 2^l`: `q = SRA(n + SRL(SRA(n, l-1), N-l), l)`.
@@ -365,20 +457,39 @@ pub enum SdivStrategy {
     },
     /// `m < 2^(N-1)`: `q = SRA(MULSH(m, n), sh_post) - XSIGN(n)`.
     MulShift {
-        /// The magic multiplier (a positive `N`-bit pattern).
-        m: u128,
+        /// The magic multiplier (positive as an `N`-bit signed word).
+        m: M,
         /// Post-shift applied to the high product half.
         sh_post: u32,
     },
     /// `2^(N-1) <= m < 2^N`:
     /// `q = SRA(n + MULSH(m - 2^N, n), sh_post) - XSIGN(n)`.
     MulAddShift {
-        /// `m` as an `N`-bit pattern — read as signed it is the negative
-        /// `m - 2^N`.
-        m_minus_pow2n: u128,
+        /// `m` as an `N`-bit pattern — read as a signed word it is the
+        /// negative `m - 2^N`.
+        m_minus_pow2n: M,
         /// Post-shift applied after the add fixup.
         sh_post: u32,
     },
+}
+
+impl<M> SdivStrategy<M> {
+    /// The same strategy with every constant word passed through `f` —
+    /// how a divisor narrows a plan to its native word and widens it back.
+    pub fn map<N>(self, mut f: impl FnMut(M) -> N) -> SdivStrategy<N> {
+        match self {
+            SdivStrategy::Identity => SdivStrategy::Identity,
+            SdivStrategy::Shift { l } => SdivStrategy::Shift { l },
+            SdivStrategy::MulShift { m, sh_post } => SdivStrategy::MulShift { m: f(m), sh_post },
+            SdivStrategy::MulAddShift {
+                m_minus_pow2n,
+                sh_post,
+            } => SdivStrategy::MulAddShift {
+                m_minus_pow2n: f(m_minus_pow2n),
+                sh_post,
+            },
+        }
+    }
 }
 
 /// A complete signed truncating-division plan (Figure 5.2).
@@ -1495,8 +1606,9 @@ mod tests {
 
     #[test]
     fn unsigned_matches_typed_selection_at_64_and_128() {
-        // Width 64 and 128 route through choose_multiplier; sanity-check
-        // the 2^64+1 factorization divisor the paper highlights.
+        // Width 64 runs the u128 Fig 6.2 and width 128 the doubleword
+        // choose_multiplier; sanity-check the 2^64+1 factorization divisor
+        // the paper highlights.
         let p = UdivPlan::new(274177, 64).unwrap();
         assert_eq!(
             p.strategy(),
@@ -1510,6 +1622,39 @@ mod tests {
         match p.strategy() {
             UdivStrategy::MulShift { sh_post, .. } => assert_eq!(sh_post, 3),
             s => panic!("unexpected {s:?}"),
+        }
+    }
+
+    #[test]
+    fn magic_native_matches_dword_choose_multiplier_at_64() {
+        // The u128 Fig 6.2 against the doubleword one at N = 64, including
+        // l = N, where the numerator 2^128 overflows u128.
+        let mut ds: Vec<u64> = vec![1, (1 << 63) - 1, (1 << 63) + 1, u64::MAX, u64::MAX / 3];
+        for k in 1..64 {
+            ds.extend([(1u64 << k) - 1, 1 << k, (1u64 << k) + 1]);
+        }
+        let mut state = 0x6d61_6769_6336_3432u64;
+        for _ in 0..100_000 {
+            // Shift half the draws down so every l = ⌈log2 d⌉ is covered.
+            let x = crate::testkit::splitmix(&mut state);
+            let d = if x & 1 == 0 { x } else { x >> (x >> 58) };
+            ds.push(d.max(1));
+        }
+        for d in ds {
+            let tz = d.trailing_zeros();
+            for (d, prec) in [(d, 64), (d, 63), (d, 64 - tz), (d >> tz, 64 - tz)] {
+                let c = choose_multiplier(d, prec);
+                let raw = magic_native(u128::from(d), 64, prec);
+                assert_eq!(
+                    (raw.m_low, raw.fits, raw.sh_post),
+                    (
+                        u128::from(c.multiplier_low_word()),
+                        c.multiplier_fits_word(),
+                        c.sh_post
+                    ),
+                    "d={d} prec={prec}"
+                );
+            }
         }
     }
 

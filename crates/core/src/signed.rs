@@ -17,51 +17,15 @@ use core::ops::{Div, Rem};
 
 use crate::error::DivisorError;
 use crate::plan::{SdivPlan, SdivStrategy};
-use crate::tournament::{
-    paper_only_tournament, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
-};
 use magicdiv_dword::Limb;
 
 use crate::word::SWord;
 
-/// The code shape Figure 5.2 selects for a constant signed divisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum SignedStrategy<S> {
-    /// `|d| == 1`: copy (and negate when `d == -1`).
-    Identity,
-    /// `|d| == 2^l`:
-    /// `q = SRA(n + SRL(SRA(n, l-1), N-l), l)`, negated when `d < 0`.
-    Shift {
-        /// `log2 |d|`.
-        l: u32,
-    },
-    /// `m < 2^(N-1)`:
-    /// `q = SRA(MULSH(m, n), sh_post) - XSIGN(n)`, negated when `d < 0`.
-    MulShift {
-        /// The magic multiplier as a (positive) signed word.
-        m: S,
-        /// Post-shift applied to the high product half.
-        sh_post: u32,
-    },
-    /// `2^(N-1) <= m < 2^N`:
-    /// `q = SRA(n + MULSH(m - 2^N, n), sh_post) - XSIGN(n)`, negated when
-    /// `d < 0`. Note `m - 2^N` is negative.
-    MulAddShift {
-        /// `m - 2^N`, a negative signed word.
-        m_minus_pow2n: S,
-        /// Post-shift applied after the add fixup.
-        sh_post: u32,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Variant<S> {
-    Identity,
-    Shift { l: u32 },
-    MulShift { m: S, sh_post: u32 },
-    MulAddShift { m_minus_pow2n: S, sh_post: u32 },
-}
+/// The code shape Figure 5.2 selects for a constant signed divisor, at the
+/// divisor's native word: the plan's own [`SdivStrategy`] with `S`
+/// constants, as stored by [`SignedDivisor<S>`]. `MulAddShift` holds the
+/// negative word `m - 2^N`.
+pub type SignedStrategy<S> = SdivStrategy<S>;
 
 /// A precomputed signed divisor rounding quotients toward zero,
 /// following the Figure 5.2 constant-divisor strategy.
@@ -82,7 +46,7 @@ enum Variant<S> {
 pub struct SignedDivisor<S> {
     d: S,
     negate: bool,
-    variant: Variant<S>,
+    strategy: SdivStrategy<S>,
 }
 
 impl<S: SWord> SignedDivisor<S> {
@@ -125,56 +89,12 @@ impl<S: SWord> SignedDivisor<S> {
             S::BITS,
             "plan width does not match divisor word width"
         );
-        let from_bits = |m: u128| S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(m));
-        let variant = match plan.strategy() {
-            SdivStrategy::Identity => Variant::Identity,
-            SdivStrategy::Shift { l } => Variant::Shift { l },
-            SdivStrategy::MulShift { m, sh_post } => Variant::MulShift {
-                m: from_bits(m),
-                sh_post,
-            },
-            SdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => Variant::MulAddShift {
-                m_minus_pow2n: from_bits(m_minus_pow2n),
-                sh_post,
-            },
-        };
+        let word = <S::Unsigned as Limb>::from_u128_truncate;
         SignedDivisor {
             d: S::from_i128_truncate(plan.divisor()),
             negate: plan.negate(),
-            variant,
+            strategy: plan.strategy().map(|m| S::from_unsigned(word(m))),
         }
-    }
-
-    /// Builds the divisor through the planner-tournament entry point.
-    ///
-    /// Only the unsigned pipeline has competing candidate families
-    /// today: every [`Strategy`] selects the paper's Fig 5.2 plan here.
-    /// Under [`Strategy::Tournament`] the returned scoreboard is the
-    /// single-candidate tournament wrapping that plan (with
-    /// `plan.tournament` events emitted), so callers can treat every
-    /// shape uniformly; [`Strategy::PaperOnly`] skips the scoreboard
-    /// entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: S,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let this = Self::new(d)?;
-        let tournament = match strategy {
-            Strategy::PaperOnly => None,
-            Strategy::Tournament => Some(paper_only_tournament(
-                this.plan().into(),
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )),
-        };
-        Ok((this, tournament))
     }
 
     /// The divisor this reciprocal was computed for.
@@ -184,45 +104,19 @@ impl<S: SWord> SignedDivisor<S> {
     }
 
     /// Which Figure 5.2 code shape was selected.
+    #[inline]
     pub fn strategy(&self) -> SignedStrategy<S> {
-        match self.variant {
-            Variant::Identity => SignedStrategy::Identity,
-            Variant::Shift { l } => SignedStrategy::Shift { l },
-            Variant::MulShift { m, sh_post } => SignedStrategy::MulShift { m, sh_post },
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => SignedStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            },
-        }
+        self.strategy
     }
 
     /// The width-erased [`SdivPlan`] this divisor caches — the same plan
     /// `magicdiv-codegen` lowers to IR and `magicdiv-simcpu` prices.
     pub fn plan(&self) -> SdivPlan {
-        let bits = |m: S| m.as_unsigned().to_u128();
-        let strategy = match self.variant {
-            Variant::Identity => SdivStrategy::Identity,
-            Variant::Shift { l } => SdivStrategy::Shift { l },
-            Variant::MulShift { m, sh_post } => SdivStrategy::MulShift {
-                m: bits(m),
-                sh_post,
-            },
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => SdivStrategy::MulAddShift {
-                m_minus_pow2n: bits(m_minus_pow2n),
-                sh_post,
-            },
-        };
         SdivPlan {
             width: S::BITS,
             d: self.d.to_i128(),
             negate: self.negate,
-            strategy,
+            strategy: self.strategy.map(|m| m.as_unsigned().to_u128()),
         }
     }
 
@@ -232,19 +126,19 @@ impl<S: SWord> SignedDivisor<S> {
     /// returning `MIN` exactly as two's-complement hardware does.
     #[inline]
     pub fn divide(&self, n: S) -> S {
-        let q = match self.variant {
-            Variant::Identity => n,
-            Variant::Shift { l } => {
+        let q = match self.strategy {
+            SdivStrategy::Identity => n,
+            SdivStrategy::Shift { l } => {
                 // q = SRA(n + SRL(SRA(n, l-1), N-l), l): adds d-1 to
                 // negative dividends so the arithmetic shift truncates
                 // toward zero.
                 let bias = n.sra_full(l - 1).as_unsigned().shr_full(S::BITS - l);
                 n.wrapping_add(S::from_unsigned(bias)).sra_full(l)
             }
-            Variant::MulShift { m, sh_post } => {
+            SdivStrategy::MulShift { m, sh_post } => {
                 m.mulsh(n).sra_full(sh_post).wrapping_sub(n.xsign())
             }
-            Variant::MulAddShift {
+            SdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => n
@@ -568,21 +462,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn with_strategy_wraps_the_paper_plan_in_a_scoreboard() {
-        let (paper_only, none) =
-            SignedDivisor::<i32>::with_strategy(-7, Strategy::PaperOnly).expect("nonzero divisor");
-        assert_eq!(none, None);
-        let (selected, tournament) =
-            SignedDivisor::<i32>::with_strategy(-7, Strategy::Tournament).expect("nonzero divisor");
-        assert_eq!(selected, paper_only);
-        assert_eq!(selected, SignedDivisor::new(-7).unwrap());
-        let t = tournament.expect("tournament strategy returns a scoreboard");
-        assert!(t.winner_is_paper());
-        assert_eq!(t.scoreboard.len(), 1);
-        assert_eq!(selected.divide(100), -14);
-    }
-
-    #[test]
     fn exhaustive_i8_both_types() {
         for d in i8::MIN..=i8::MAX {
             if d == 0 {
@@ -846,14 +725,26 @@ mod rounding_tests {
 
     #[test]
     fn plan_roundtrips_selection() {
+        // Every variant survives plan -> divisor -> plan at width 32 and
+        // 128, and the stored strategy is the plan's narrowed to S.
+        let mut seen = std::collections::HashSet::new();
         for d in [-16i32, -7, -3, -1, 1, 3, 7, 10, 16, 641, i32::MIN, i32::MAX] {
-            let cd = SignedDivisor::new(d).unwrap();
-            assert_eq!(cd.plan(), SdivPlan::new(d as i128, 32).unwrap(), "d={d}");
+            let p = SdivPlan::new(d as i128, 32).unwrap();
+            let cd = SignedDivisor::<i32>::new(d).unwrap();
+            assert_eq!(cd, SignedDivisor::from_plan(&p), "d={d}");
+            assert_eq!(cd.plan(), p, "d={d}");
+            assert_eq!(cd.strategy(), p.strategy().map(|m| m as i32), "d={d}");
+            seen.insert(core::mem::discriminant(&p.strategy()));
         }
-        for d in [-10i128, 3, i128::MIN, i128::MAX] {
-            let cd = SignedDivisor::new(d).unwrap();
-            assert_eq!(cd.plan(), SdivPlan::new(d, 128).unwrap(), "d={d}");
+        for d in [-10i128, -1, 3, 7, 1 << 100, i128::MIN, i128::MAX] {
+            let p = SdivPlan::new(d, 128).unwrap();
+            let cd = SignedDivisor::<i128>::new(d).unwrap();
+            assert_eq!(cd, SignedDivisor::from_plan(&p), "d={d}");
+            assert_eq!(cd.plan(), p, "d={d}");
+            assert_eq!(cd.strategy(), p.strategy().map(|m| m as i128), "d={d}");
+            seen.insert(core::mem::discriminant(&p.strategy()));
         }
+        assert_eq!(seen.len(), 4, "every SdivStrategy variant is covered");
     }
 
     #[test]

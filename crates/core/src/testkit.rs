@@ -166,22 +166,7 @@ pub fn corrupt_udiv_plan(plan: &UdivPlan, bit: u32) -> UdivPlan {
     let strategy = match plan.strategy() {
         UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
         UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
-        UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-            m: m ^ (1u128 << bit),
-            sh_pre,
-            sh_post,
-        },
-        UdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => UdivStrategy::MulAddShift {
-            m_minus_pow2n: m_minus_pow2n ^ (1u128 << bit),
-            sh_post,
-        },
-        UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-            m: m ^ (1u128 << bit),
-            sh_post,
-        },
+        multiply => multiply.map(|m| m ^ (1u128 << bit)),
     };
     UdivPlan::from_raw(plan.divisor(), plan.width(), strategy)
 }

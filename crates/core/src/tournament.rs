@@ -4,8 +4,8 @@
 //! [`select_udiv`] is the selection entry the public constructors wrap:
 //! with [`Strategy::PaperOnly`] it short-circuits to the 1994 Figure 4.2
 //! rules (bit-identical plans, goldens stay reproducible); with
-//! [`Strategy::Tournament`] every [`CandidateGen`] family competes and
-//! the cheapest *certified* plan wins.
+//! [`Strategy::Tournament`] every [`CandidateGen`](crate::CandidateGen)
+//! family competes and the cheapest *certified* plan wins.
 //!
 //! Pricing and certification are injected through [`PlanScorer`] and
 //! [`PlanCertifier`] so this crate stays at the bottom of the dependency
@@ -23,7 +23,8 @@ use core::fmt;
 use crate::candidates::{unsigned_generators, urem_candidates, Candidate, CandidateSource};
 use crate::error::DivisorError;
 use crate::plan::{
-    DivPlan, DivisibilityPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
+    mask, DivPlan, DivisibilityPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan,
+    UremStrategy,
 };
 use crate::testkit::splitmix;
 
@@ -247,11 +248,7 @@ pub(crate) fn eval_unsigned(plan: &UdivPlan, n: u128) -> u128 {
 /// `width <= 64`.
 pub(crate) fn eval_urem(plan: &UremPlan, n: u128) -> u128 {
     let w = plan.width();
-    let m = if w == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << w) - 1
-    };
+    let m = mask(w);
     match plan.strategy() {
         UremStrategy::Mask { low_mask } => n & low_mask,
         UremStrategy::Fraction { c_hi, c_lo } => {
@@ -277,11 +274,7 @@ pub(crate) fn eval_urem(plan: &UremPlan, n: u128) -> u128 {
 /// `1` when `d | n`, else `0`). Defined for `width <= 64`.
 pub(crate) fn eval_divisibility(plan: &DivisibilityPlan, n: u128) -> u128 {
     let w = plan.width();
-    let m = if w == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << w) - 1
-    };
+    let m = mask(w);
     match plan.strategy() {
         DivisibilityStrategy::Mask { low_mask } => u128::from(n & low_mask == 0),
         DivisibilityStrategy::InverseRotate { e, dinv, qmax } => {
@@ -316,11 +309,7 @@ fn certify_by_probes(
     d: u128,
     mut eval_want: impl FnMut(u128) -> (u128, u128),
 ) -> Certification {
-    let nmax = if w == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << w) - 1
-    };
+    let nmax = mask(w);
     let mut inputs = 0u64;
     let mut check = |n: u128| -> Option<Certification> {
         inputs += 1;
@@ -682,47 +671,6 @@ pub fn select_urem(
     }
 }
 
-/// Wraps an already-selected plan of any shape as a one-candidate
-/// "tournament" scoreboard — how the signed/floor/exact constructors
-/// surface their (currently uncontested) paper baseline through the same
-/// reporting machinery.
-pub fn paper_only_tournament(
-    plan: DivPlan,
-    scorer: &dyn PlanScorer,
-    certifier: &dyn PlanCertifier,
-) -> TournamentResult {
-    let d = match &plan {
-        DivPlan::Unsigned(p) => p.divisor(),
-        DivPlan::Signed(p) => p.divisor().unsigned_abs(),
-        DivPlan::Floor(p) => p.divisor().unsigned_abs(),
-        DivPlan::Exact(p) => p.divisor_abs(),
-        DivPlan::Dword(p) => p.divisor(),
-        DivPlan::Urem(p) => p.divisor(),
-        DivPlan::Divisibility(p) => p.divisor(),
-    };
-    let width = plan.width();
-    let cycles = scorer.score(&plan);
-    let certification = certifier.certify(&plan);
-    let result = TournamentResult {
-        d,
-        width,
-        model: scorer.model_name().to_string(),
-        scoreboard: vec![ScoredCandidate {
-            candidate: Candidate {
-                plan,
-                source: CandidateSource::PaperBaseline,
-                why: "only family fielding candidates for this shape".to_string(),
-            },
-            cycles,
-            certification,
-            outcome: Outcome::Won,
-        }],
-        winner: 0,
-    };
-    emit_events(&result);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,15 +895,5 @@ mod tests {
             ArithmeticCertifier.certify(&DivPlan::Urem(good)),
             Certification::Passed { .. }
         ));
-    }
-
-    #[test]
-    fn paper_only_tournament_wraps_any_shape() {
-        let plan = DivPlan::from(crate::plan::SdivPlan::new(-7, 32).unwrap());
-        let t = paper_only_tournament(plan, &OpCountScorer, &ArithmeticCertifier);
-        assert_eq!(t.scoreboard.len(), 1);
-        assert!(t.winner_is_paper());
-        assert_eq!(t.winning().certification, Certification::Skipped);
-        assert_eq!(t.winning().outcome, Outcome::Won);
     }
 }

@@ -21,63 +21,14 @@ use magicdiv_dword::DWord;
 use crate::error::DivisorError;
 use crate::plan::{UdivPlan, UdivStrategy, UremPlan, UremStrategy};
 use crate::tournament::{
-    select_udiv, select_urem, ArithmeticCertifier, OpCountScorer, PlanCertifier, PlanScorer,
-    Strategy, TournamentResult,
+    select_udiv, select_urem, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
 };
 use crate::word::UWord;
 
-/// The code shape Figure 4.2 selects for a given constant divisor.
-///
-/// Exposed so the code generator and the benchmarks can introspect which
-/// strategy a divisor got; constructing a variant directly is not possible
-/// outside the crate (all fields are crate-private behind accessors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum UnsignedStrategy<T> {
-    /// `d == 1`: the quotient is the dividend.
-    Identity,
-    /// `d == 2^sh`: a single logical right shift.
-    Shift {
-        /// The shift count `log2 d`.
-        sh: u32,
-    },
-    /// `m < 2^N`: `q = SRL(MULUH(m, SRL(n, sh_pre)), sh_post)`.
-    MulShift {
-        /// The magic multiplier, `m < 2^N`.
-        m: T,
-        /// Pre-shift (log2 of the even part of `d`), often 0.
-        sh_pre: u32,
-        /// Post-shift applied to the high product half.
-        sh_post: u32,
-    },
-    /// `m >= 2^N` (odd `d`): the Figure 4.1 long sequence
-    /// `t = MULUH(m - 2^N, n); q = SRL(t + SRL(n - t, 1), sh_post - 1)`.
-    MulAddShift {
-        /// The multiplier with its `2^N` bit removed.
-        m_minus_pow2n: T,
-        /// Post-shift (at least 1).
-        sh_post: u32,
-    },
-    /// Round-*down* multiplier applied to `n + 1` (Li, arXiv 2412.03680):
-    /// `q = SRL(MULUH(m, n) + carry(MULL(m, n) + m), sh_post)`. Never
-    /// selected by Figure 4.2 — only a tournament winner
-    /// ([`UnsignedDivisor::with_strategy`]) carries it.
-    MulRoundUp {
-        /// The round-down magic multiplier, `m = ⌊2^(N+sh_post)/d⌋ < 2^N`.
-        m: T,
-        /// Post-shift applied to the fixed-up high product half.
-        sh_post: u32,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Variant<T> {
-    Identity,
-    Shift { sh: u32 },
-    MulShift { m: T, sh_pre: u32, sh_post: u32 },
-    MulAddShift { m_minus_pow2n: T, sh_post: u32 },
-    MulRoundUp { m: T, sh_post: u32 },
-}
+/// The code shape Figure 4.2 selects for a given constant divisor, at the
+/// divisor's native word: the plan's own [`UdivStrategy`] with `T`
+/// constants, as stored by [`UnsignedDivisor<T>`].
+pub type UnsignedStrategy<T> = UdivStrategy<T>;
 
 /// How `remainder` / the `r` half of `div_rem_slice` is computed — the
 /// native-word cache of a [`UremPlan`].
@@ -124,7 +75,7 @@ impl<T: UWord> RemVariant<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UnsignedDivisor<T> {
     d: T,
-    variant: Variant<T>,
+    strategy: UdivStrategy<T>,
     rem: RemVariant<T>,
 }
 
@@ -168,37 +119,18 @@ impl<T: UWord> UnsignedDivisor<T> {
             T::BITS,
             "plan width does not match divisor word width"
         );
-        let variant = match plan.strategy() {
-            UdivStrategy::Identity => Variant::Identity,
-            UdivStrategy::Shift { sh } => Variant::Shift { sh },
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => Variant::MulShift {
-                m: T::from_u128_truncate(m),
-                sh_pre,
-                sh_post,
-            },
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => Variant::MulAddShift {
-                m_minus_pow2n: T::from_u128_truncate(m_minus_pow2n),
-                sh_post,
-            },
-            UdivStrategy::MulRoundUp { m, sh_post } => Variant::MulRoundUp {
-                m: T::from_u128_truncate(m),
-                sh_post,
-            },
-        };
-        let rem = match variant {
+        let strategy = plan.strategy().map(T::from_u128_truncate);
+        let rem = match strategy {
             // Powers of two (and d == 1): the remainder is a bare mask,
             // bit-identical to multiply-back but one op.
-            Variant::Identity | Variant::Shift { .. } => RemVariant::Mask {
+            UdivStrategy::Identity | UdivStrategy::Shift { .. } => RemVariant::Mask {
                 low_mask: T::from_u128_truncate(plan.divisor() - 1),
             },
             _ => RemVariant::MulBack,
         };
         UnsignedDivisor {
             d: T::from_u128_truncate(plan.divisor()),
-            variant,
+            strategy,
             rem,
         }
     }
@@ -221,7 +153,9 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// [`Strategy`]: [`Strategy::PaperOnly`] reproduces `new` exactly,
     /// while [`Strategy::Tournament`] lets every candidate family compete
     /// under the core's op-count scorer and arithmetic certifier and
-    /// returns the full scoreboard alongside the divisor.
+    /// returns the full scoreboard alongside the divisor. To inject a
+    /// scorer and certifier, call [`select_udiv`] and pass its plan to
+    /// [`from_plan`](Self::from_plan).
     ///
     /// # Errors
     ///
@@ -230,49 +164,21 @@ impl<T: UWord> UnsignedDivisor<T> {
         d: T,
         strategy: Strategy,
     ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        Self::with_selection(d, strategy, &OpCountScorer, &ArithmeticCertifier)
-    }
-
-    /// [`with_strategy`](Self::with_strategy) with an injected scorer and
-    /// certifier — `magicdiv-bench` passes its simcpu cycle model and the
-    /// lowered-IR differential oracle here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_selection(
-        d: T,
-        strategy: Strategy,
-        scorer: &dyn PlanScorer,
-        certifier: &dyn PlanCertifier,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let selection = select_udiv(d.to_u128(), T::BITS, strategy, scorer, certifier)?;
+        let selection = select_udiv(
+            d.to_u128(),
+            T::BITS,
+            strategy,
+            &OpCountScorer,
+            &ArithmeticCertifier,
+        )?;
         Ok((Self::from_plan(&selection.plan), selection.tournament))
     }
 
     /// Like [`new`](Self::new), but the *remainder* strategy is chosen by
     /// the urem tournament (§1 multiply-back vs the Lemire–Kaser–Kurz
-    /// direct fraction, per [`crate::tournament::select_urem`]) under the
-    /// injected scorer and certifier. [`Strategy::PaperOnly`] reproduces
-    /// `new` exactly. The quotient path is always Fig 4.2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_urem_selection(
-        d: T,
-        strategy: Strategy,
-        scorer: &dyn PlanScorer,
-        certifier: &dyn PlanCertifier,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let selection = select_urem(d.to_u128(), T::BITS, strategy, scorer, certifier)?;
-        let mut div = Self::new(d)?;
-        div.rem = RemVariant::from_plan(&selection.plan);
-        Ok((div, selection.tournament))
-    }
-
-    /// [`with_urem_selection`](Self::with_urem_selection) under the
-    /// core's op-count scorer and arithmetic certifier.
+    /// direct fraction, per [`select_urem`]) under the core's op-count
+    /// scorer and arithmetic certifier. [`Strategy::PaperOnly`]
+    /// reproduces `new` exactly. The quotient path is always Fig 4.2.
     ///
     /// # Errors
     ///
@@ -281,7 +187,16 @@ impl<T: UWord> UnsignedDivisor<T> {
         d: T,
         strategy: Strategy,
     ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        Self::with_urem_selection(d, strategy, &OpCountScorer, &ArithmeticCertifier)
+        let selection = select_urem(
+            d.to_u128(),
+            T::BITS,
+            strategy,
+            &OpCountScorer,
+            &ArithmeticCertifier,
+        )?;
+        let mut div = Self::new(d)?;
+        div.rem = RemVariant::from_plan(&selection.plan);
+        Ok((div, selection.tournament))
     }
 
     /// The divisor this reciprocal was computed for.
@@ -291,51 +206,18 @@ impl<T: UWord> UnsignedDivisor<T> {
     }
 
     /// Which Figure 4.2 code shape was selected.
+    #[inline]
     pub fn strategy(&self) -> UnsignedStrategy<T> {
-        match self.variant {
-            Variant::Identity => UnsignedStrategy::Identity,
-            Variant::Shift { sh } => UnsignedStrategy::Shift { sh },
-            Variant::MulShift { m, sh_pre, sh_post } => {
-                UnsignedStrategy::MulShift { m, sh_pre, sh_post }
-            }
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UnsignedStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            },
-            Variant::MulRoundUp { m, sh_post } => UnsignedStrategy::MulRoundUp { m, sh_post },
-        }
+        self.strategy
     }
 
     /// The width-erased [`UdivPlan`] this divisor caches — the same plan
     /// `magicdiv-codegen` lowers to IR and `magicdiv-simcpu` prices.
     pub fn plan(&self) -> UdivPlan {
-        let strategy = match self.variant {
-            Variant::Identity => UdivStrategy::Identity,
-            Variant::Shift { sh } => UdivStrategy::Shift { sh },
-            Variant::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-                m: m.to_u128(),
-                sh_pre,
-                sh_post,
-            },
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UdivStrategy::MulAddShift {
-                m_minus_pow2n: m_minus_pow2n.to_u128(),
-                sh_post,
-            },
-            Variant::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-                m: m.to_u128(),
-                sh_post,
-            },
-        };
         UdivPlan {
             width: T::BITS,
             d: self.d.to_u128(),
-            strategy,
+            strategy: self.strategy.map(|m| m.to_u128()),
         }
     }
 
@@ -392,13 +274,13 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// Computes `⌊n / d⌋` without a division instruction.
     #[inline]
     pub fn divide(&self, n: T) -> T {
-        match self.variant {
-            Variant::Identity => n,
-            Variant::Shift { sh } => n.shr_full(sh),
-            Variant::MulShift { m, sh_pre, sh_post } => {
+        match self.strategy {
+            UdivStrategy::Identity => n,
+            UdivStrategy::Shift { sh } => n.shr_full(sh),
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 m.muluh(n.shr_full(sh_pre)).shr_full(sh_post)
             }
-            Variant::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -408,7 +290,7 @@ impl<T: UWord> UnsignedDivisor<T> {
                 t1.wrapping_add(n.wrapping_sub(t1).shr_full(1))
                     .shr_full(sh_post - 1)
             }
-            Variant::MulRoundUp { m, sh_post } => {
+            UdivStrategy::MulRoundUp { m, sh_post } => {
                 // q = ⌊m(n+1)/2^(N+sh_post)⌋: the high half of m*n plus
                 // the carry out of the low half's + m, then a shift. The
                 // sum cannot wrap: t_hi + 1 <= m < 2^N.
@@ -511,19 +393,19 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// ```
     pub fn div_slice(&self, ns: &[T], out: &mut [T]) {
         assert_eq!(ns.len(), out.len(), "div_slice: length mismatch");
-        match self.variant {
-            Variant::Identity => out.copy_from_slice(ns),
-            Variant::Shift { sh } => {
+        match self.strategy {
+            UdivStrategy::Identity => out.copy_from_slice(ns),
+            UdivStrategy::Shift { sh } => {
                 for (o, &n) in out.iter_mut().zip(ns) {
                     *o = n.shr_full(sh);
                 }
             }
-            Variant::MulShift { m, sh_pre, sh_post } => {
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 for (o, &n) in out.iter_mut().zip(ns) {
                     *o = m.muluh(n.shr_full(sh_pre)).shr_full(sh_post);
                 }
             }
-            Variant::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -534,7 +416,7 @@ impl<T: UWord> UnsignedDivisor<T> {
                         .shr_full(sh_post - 1);
                 }
             }
-            Variant::MulRoundUp { m, sh_post } => {
+            UdivStrategy::MulRoundUp { m, sh_post } => {
                 for (o, &n) in out.iter_mut().zip(ns) {
                     let t_lo = m.wrapping_mul(n);
                     let (_, carry) = t_lo.overflowing_add(m);
@@ -563,7 +445,7 @@ impl<T: UWord> UnsignedDivisor<T> {
         assert_eq!(ns.len(), q.len(), "div_rem_slice: length mismatch");
         assert_eq!(ns.len(), r.len(), "div_rem_slice: length mismatch");
         let d = self.d;
-        if matches!(self.variant, Variant::Identity) {
+        if matches!(self.strategy, UdivStrategy::Identity) {
             q.copy_from_slice(ns);
             for r in r.iter_mut() {
                 *r = T::ZERO;
@@ -571,23 +453,23 @@ impl<T: UWord> UnsignedDivisor<T> {
             return;
         }
         let pairs = q.iter_mut().zip(r.iter_mut()).zip(ns);
-        match self.variant {
-            Variant::Identity => {}
-            Variant::Shift { sh } => {
+        match self.strategy {
+            UdivStrategy::Identity => {}
+            UdivStrategy::Shift { sh } => {
                 let low_mask = d.wrapping_sub(T::ONE);
                 for ((q, r), &n) in pairs {
                     *q = n.shr_full(sh);
                     *r = n & low_mask;
                 }
             }
-            Variant::MulShift { m, sh_pre, sh_post } => {
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 for ((q, r), &n) in pairs {
                     let quot = m.muluh(n.shr_full(sh_pre)).shr_full(sh_post);
                     *q = quot;
                     *r = n.wrapping_sub(quot.wrapping_mul(d));
                 }
             }
-            Variant::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -600,7 +482,7 @@ impl<T: UWord> UnsignedDivisor<T> {
                     *r = n.wrapping_sub(quot.wrapping_mul(d));
                 }
             }
-            Variant::MulRoundUp { m, sh_post } => {
+            UdivStrategy::MulRoundUp { m, sh_post } => {
                 for ((q, r), &n) in pairs {
                     let t_lo = m.wrapping_mul(n);
                     let (_, carry) = t_lo.overflowing_add(m);
@@ -1083,6 +965,49 @@ mod rounding_tests {
         assert_eq!(cd.plan(), plan);
         let err = std::panic::catch_unwind(|| UnsignedDivisor::<u64>::from_plan(&plan));
         assert!(err.is_err(), "width mismatch must panic");
+
+        // Every variant survives plan -> divisor -> plan, at a machine
+        // width and at 128. The round-up row is Li's plan for d = 7 at
+        // width 32 (m = ⌊2^33/7⌋, s = 1); at width 128 it only has to
+        // round-trip.
+        let round_up = UdivStrategy::MulRoundUp {
+            m: (1u128 << 33) / 7,
+            sh_post: 1,
+        };
+        let p32 = |d| UdivPlan::new(d, 32).unwrap();
+        let p128 = |d| UdivPlan::new(d, 128).unwrap();
+        let plans = [
+            p32(1),
+            p32(16),
+            p32(10),
+            p32(14),
+            p32(7),
+            UdivPlan::from_raw(7, 32, round_up),
+            p128(1),
+            p128(1 << 100),
+            p128(10),
+            p128(7),
+            p128(u128::MAX),
+            UdivPlan::from_raw(7, 128, round_up),
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for p in plans {
+            seen.insert(core::mem::discriminant(&p.strategy()));
+            if p.width() == 32 {
+                let cd = UnsignedDivisor::<u32>::from_plan(&p);
+                assert_eq!(cd.plan(), p, "{p}");
+                assert_eq!(cd.strategy(), p.strategy().map(|m| m as u32), "{p}");
+                let d = p.divisor() as u32;
+                for n in [0u32, 6, 7, 8, 1 << 31, u32::MAX] {
+                    assert_eq!(cd.divide(n), n / d, "{p} n={n}");
+                }
+            } else {
+                let cd = UnsignedDivisor::<u128>::from_plan(&p);
+                assert_eq!(cd.plan(), p, "{p}");
+                assert_eq!(cd.strategy(), p.strategy(), "{p}");
+            }
+        }
+        assert_eq!(seen.len(), 5, "every UdivStrategy variant is covered");
     }
 
     #[test]

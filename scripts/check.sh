@@ -33,6 +33,9 @@ echo "== tier-1 verify: cargo build --release && cargo test -q =="
 cargo build --release --offline
 cargo test -q --offline
 
+echo "== benchmark package tests (perfbench/ is its own workspace; catches core API breaks) =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== differential + mutation harness (fixed seed; corpus replay ran in tier-1) =="
 cargo build --release --offline -p magicdiv-bench
 ./target/release/verify 20000 24029 --no-corpus-write
